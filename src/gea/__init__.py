@@ -4,75 +4,9 @@ Elements described by overlapping, weighted blocks are clustered by
 repeatedly merging the pair of clusters whose union has the smallest
 projection entropy. Numeric tables enter the same pipeline through a
 grid-based categorization that turns each column into weighted overlap
-blocks. See the README for the file formats and the ``gea`` CLI.
+blocks. The API lives in the submodules (``gea.allocation``,
+``gea.entropy``, ``gea.categorize``, ``gea.agglomeration``, ``gea.cli``);
+see the README for the file formats and the ``gea`` CLI.
 """
 
-from .allocation import (
-    COD,
-    Block,
-    FeatureAllocation,
-    block_size,
-    cod,
-    format_allocation_text,
-    from_multiset,
-    parse_allocation_text,
-    project,
-)
-from .agglomeration import (
-    DENDROGRAM_JSON_SCHEMA,
-    ClusterSet,
-    Dendrogram,
-    Merge,
-    cut,
-    gea,
-    score_accuracy,
-    to_json,
-    to_newick,
-)
-from .categorize import (
-    CategorizationParams,
-    NumericDataset,
-    categorize,
-    minmax_scale,
-    neighborhood,
-)
-from .entropy import (
-    EmptyProjectionWarning,
-    generalized_entropy,
-    generalized_entropy_cod,
-    gpei,
-    subset_entropy,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Block",
-    "COD",
-    "CategorizationParams",
-    "ClusterSet",
-    "DENDROGRAM_JSON_SCHEMA",
-    "Dendrogram",
-    "EmptyProjectionWarning",
-    "FeatureAllocation",
-    "Merge",
-    "NumericDataset",
-    "block_size",
-    "categorize",
-    "cod",
-    "cut",
-    "format_allocation_text",
-    "from_multiset",
-    "gea",
-    "generalized_entropy",
-    "generalized_entropy_cod",
-    "gpei",
-    "minmax_scale",
-    "neighborhood",
-    "parse_allocation_text",
-    "project",
-    "score_accuracy",
-    "subset_entropy",
-    "to_json",
-    "to_newick",
-]

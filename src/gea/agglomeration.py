@@ -23,6 +23,7 @@ import numpy as np
 
 from . import fixedpoint as fp
 from .allocation import FeatureAllocation
+from .entropy import information_sum
 
 # Candidate heights within this absolute gap count as tied; ties resolve to
 # the pair whose merged element set is lexicographically least.
@@ -88,7 +89,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     heights: dict[tuple[int, int], float] = {}
     for i, a in enumerate(active):
         for b in active[i + 1 :]:
-            heights[(a, b)] = _mass_entropy(mass[a] + mass[b], 2, r_s)
+            heights[(a, b)] = information_sum(mass[a] + mass[b], 2 * r_s)
 
     merges = []
     next_id = n
@@ -115,28 +116,14 @@ def gea(g: FeatureAllocation) -> Dendrogram:
 
         count = len(members[new_id])
         for other in active:
-            heights[(other, new_id)] = _mass_entropy(
-                mass[other] + mass[new_id], len(members[other]) + count, r_s
+            heights[(other, new_id)] = information_sum(
+                mass[other] + mass[new_id], (len(members[other]) + count) * r_s
             )
         active.append(new_id)
 
     if len(merges) != n - 1 or merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")
     return Dendrogram(n, r_s, tuple(merges))
-
-
-def _mass_entropy(mass_vec: np.ndarray, count: int, r_scaled: int) -> float:
-    """Entropy of a merged subset from its per-block weight mass.
-
-    ``mass_vec[j]`` is the fixed-point weight the subset's elements carry in
-    block j; zero entries are blocks the projection discards. A subset whose
-    elements appear in no block scores zero.
-    """
-    nz = mass_vec[mass_vec > 0]
-    if nz.size == 0:
-        return 0.0
-    nr = count * r_scaled
-    return float(np.sum((nz / nr) * np.log(nr / nz)))
 
 
 def cut(d: Dendrogram, k: int) -> ClusterSet:

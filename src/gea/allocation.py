@@ -22,6 +22,10 @@ from typing import Iterable, Mapping
 
 from . import fixedpoint as fp
 
+# Upper bound on n, on r and on every block size (the last two in fixed-point
+# units): the entropy kernel and the merge engine hold them in int64.
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Block:
@@ -85,11 +89,6 @@ class Block:
         return out
 
 
-def block_size(b: Block) -> Fraction:
-    """Size of a block: the exact sum of its occurrence weights."""
-    return b.size
-
-
 @dataclass(frozen=True)
 class FeatureAllocation:
     """A multiset of blocks over elements 0..n-1 plus a recurrence base.
@@ -97,7 +96,10 @@ class FeatureAllocation:
     ``blocks`` keeps duplicates and preserves order; ``r_scaled`` is the
     positive recurrence base in fixed-point units (the :attr:`r` property
     exposes it as an exact Fraction). The recurrence base sets the reference
-    mass ``n*r`` that entropies are measured against.
+    mass ``n*r`` that entropies are measured against. ``n``, ``r_scaled`` and
+    every block size must fit in int64: entropies and merge masses are
+    evaluated from int64 vectors (a subset's mass in a block never exceeds
+    the block's size), and n*r must stay a finite float.
     """
 
     n: int
@@ -105,15 +107,22 @@ class FeatureAllocation:
     r_scaled: int = fp.SCALE
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"element count must be a non-negative int, got {self.n!r}")
+        if not isinstance(self.n, int) or not 0 <= self.n <= _INT64_MAX:
+            raise ValueError(f"element count must be an int in [0, 2**63), got {self.n!r}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        for b in self.blocks:
+        for i, b in enumerate(self.blocks):
             top = max(b.entries)
             if top >= self.n:
                 raise ValueError(f"block references element {top} outside [0, {self.n})")
-        if not isinstance(self.r_scaled, int) or self.r_scaled <= 0:
-            raise ValueError("recurrence base must be positive")
+            if b.size_scaled > _INT64_MAX:
+                raise ValueError(
+                    f"block {i}: size {fp.format_decimal(b.size_scaled)} exceeds the "
+                    f"largest supported block size {fp.format_decimal(_INT64_MAX)}"
+                )
+        if not isinstance(self.r_scaled, int) or not 0 < self.r_scaled <= _INT64_MAX:
+            raise ValueError(
+                f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
+            )
 
     @property
     def r(self) -> Fraction:
@@ -275,7 +284,7 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
 
 
 def _parse_element(text: str, tok: str, lineno: int, n: int) -> int:
-    if not text.isdigit():
+    if not text.isdecimal():
         raise ValueError(f"line {lineno}: malformed token {tok!r}")
     elem = int(text)
     if not 1 <= elem <= n:

@@ -73,19 +73,10 @@ class CategorizationParams:
             raise ValueError("recurrence base r must be positive")
 
 
-def neighborhood(x: float, params: CategorizationParams) -> list[tuple[int, float]]:
-    """Offsets and weights of the categories one value spawns.
-
-    Offset mu places a category at ``x + mu/d``; the central category keeps
-    weight 1 and a flank at offset mu weighs (1 - |mu|/(m+1))**gamma,
-    rounded to six decimals. All 2m+1 entries are listed, in ascending
-    offset order, even when a flank weight rounds to zero (block
-    construction drops those: absence encodes a zero weight).
-    """
-    return [(mu, fp.to_float(w)) for mu, w in _offset_weights(params)]
-
-
 def _offset_weights(params: CategorizationParams) -> list[tuple[int, int]]:
+    """(offset, fixed-point weight) of each of the 2m+1 categories one value
+    spawns, in ascending offset order; flanks that round to zero weight are
+    listed here and skipped by :func:`categorize`."""
     out = []
     for mu in range(-params.m, params.m + 1):
         if mu == 0:

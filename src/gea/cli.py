@@ -10,8 +10,7 @@ Two subcommands:
 
 Logs and warnings go to stderr; machine-readable output goes to stdout or
 to ``--output``. Exit codes: 0 success, 1 input/usage error, 2 internal
-invariant violation. The GEA_SEED environment variable is reserved but
-unused: the pipeline is deterministic.
+invariant violation.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fixedpoint as fp
@@ -32,25 +30,6 @@ from .entropy import generalized_entropy
 
 class InputError(Exception):
     """Bad input file or bad option combination; maps to exit code 1."""
-
-
-class _UsageError(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    input: str
-    mode: str  # "numeric" | "allocation"
-    d: int | None = None
-    m: int | None = None
-    gamma: float | None = None
-    r: str | None = None  # decimal string; numeric mode defaults to "1.0"
-    cut: int | None = None
-    label_col: str | None = None
-    format: str = "json"  # "json" | "newick" | "both"
-    output: str | None = None
-    scale: bool = False
 
 
 def parse_csv(path, label_col: str | None = None) -> NumericDataset:
@@ -117,60 +96,54 @@ def parse_allocation(path, r_override: str | None = None) -> FeatureAllocation:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     if r_override is not None:
-        try:
-            r_s = fp.from_decimal(r_override)
-        except ValueError as exc:
-            raise InputError(f"bad --r value: {exc}") from None
-        if r_s <= 0:
-            raise InputError("--r must be positive")
+        r_s = _parse_r(r_override)
         if r_s != g.r_scaled:
+            header_r = fp.format_decimal(g.r_scaled)
+            g = FeatureAllocation(g.n, g.blocks, r_s)
             print(
-                f"warning: --r {fp.format_decimal(r_s)} overrides header "
-                f"r={fp.format_decimal(g.r_scaled)}",
+                f"warning: --r {fp.format_decimal(r_s)} overrides header r={header_r}",
                 file=sys.stderr,
             )
-            g = FeatureAllocation(g.n, g.blocks, r_s)
     return g
 
 
-def run(config: RunConfig) -> int:
-    """Execute the clustering pipeline for a validated-enough config."""
+def _parse_r(text: str) -> int:
+    """The ``--r`` option of either mode as a positive decimal literal, read
+    like the allocation header's ``r=``; returns fixed-point units."""
     try:
-        _execute(config)
-        return 0
-    except (InputError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # invariant violations and everything unexpected
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 2
+        r_s = fp.from_decimal(text)
+    except ValueError as exc:
+        raise InputError(f"bad --r value: {exc}") from None
+    if r_s <= 0:
+        raise InputError("--r must be positive")
+    return r_s
 
 
-def _execute(config: RunConfig) -> None:
+def _execute(args: argparse.Namespace) -> None:
+    """The ``gea cluster`` pipeline for one parsed command line."""
     t0 = time.perf_counter()
     labels = None
-    if config.mode == "numeric":
-        if config.d is None or config.m is None or config.gamma is None:
+    if args.mode == "numeric":
+        if args.d is None or args.m is None or args.gamma is None:
             raise InputError("--mode numeric requires --d, --m and --gamma")
-        ds = parse_csv(config.input, config.label_col)
+        r_s = fp.SCALE if args.r is None else _parse_r(args.r)
+        ds = parse_csv(args.input, args.label_col)
         labels = ds.labels
-        if config.scale:
+        if args.scale:
             ds = minmax_scale(ds)
-        params = CategorizationParams(config.d, config.m, config.gamma, config.r or "1.0")
+        params = CategorizationParams(args.d, args.m, args.gamma, fp.to_fraction(r_s))
         g = categorize(ds, params)
-    elif config.mode == "allocation":
-        g = parse_allocation(config.input, config.r)
     else:
-        raise InputError(f"unknown mode {config.mode!r}")
-    if config.cut is not None and not 1 <= config.cut <= g.n:
-        raise InputError(f"--cut must be in 1..{g.n}, got {config.cut}")
+        g = parse_allocation(args.input, args.r)
+    if args.cut is not None and not 1 <= args.cut <= g.n:
+        raise InputError(f"--cut must be in 1..{g.n}, got {args.cut}")
 
     dend = gea(g)
-    _emit(dend, config)
+    _emit(dend, args)
 
     scored = None
-    if config.cut is not None:
-        clusters = cut(dend, config.cut)
+    if args.cut is not None:
+        clusters = cut(dend, args.cut)
         for lab in range(clusters.k):
             elems = " ".join(str(e + 1) for e in clusters.members(lab))
             print(f"cluster {lab}: {elems}")
@@ -189,27 +162,27 @@ def _execute(config: RunConfig) -> None:
     print(summary, file=sys.stderr)
 
 
-def _emit(dend, config: RunConfig) -> None:
+def _emit(dend, args: argparse.Namespace) -> None:
     texts = {}
-    if config.format in ("json", "both"):
+    if args.format in ("json", "both"):
         texts["json"] = to_json(dend)
-    if config.format in ("newick", "both"):
+    if args.format in ("newick", "both"):
         texts["nwk"] = to_newick(dend)
-    if config.output is None:
+    if args.output is None:
         for text in texts.values():
             print(text)
         return
     if len(texts) == 1:
-        Path(config.output).write_text(next(iter(texts.values())) + "\n", encoding="utf-8")
+        Path(args.output).write_text(next(iter(texts.values())) + "\n", encoding="utf-8")
     else:
         for ext, text in texts.items():
-            Path(f"{config.output}.{ext}").write_text(text + "\n", encoding="utf-8")
+            Path(f"{args.output}.{ext}").write_text(text + "\n", encoding="utf-8")
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are input errors (exit 1), not internal ones
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gea",
         description="Hierarchical clustering of weighted feature allocations "
         "by minimum projection entropy.",
-        epilog="GEA_SEED is reserved but unused; runs are deterministic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,37 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "entropy":
+            print(generalized_entropy(parse_allocation(args.input, args.r)))
+        else:
+            _execute(args)
+        return 0
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "entropy":
-        try:
-            g = parse_allocation(args.input, args.r)
-            print(generalized_entropy(g))
-            return 0
-        except (InputError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except Exception as exc:
-            print(f"internal error: {exc!r}", file=sys.stderr)
-            return 2
-    config = RunConfig(
-        input=args.input,
-        mode=args.mode,
-        d=args.d,
-        m=args.m,
-        gamma=args.gamma,
-        r=args.r,
-        cut=args.cut,
-        label_col=args.label_col,
-        format=args.format,
-        output=args.output,
-        scale=args.scale,
-    )
-    return run(config)
+    except Exception as exc:  # invariant violations and everything unexpected
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ import math
 import warnings
 from typing import Iterable
 
+import numpy as np
+
 from . import fixedpoint as fp
 from .allocation import FeatureAllocation, cod, project
 
@@ -42,21 +44,34 @@ def gpei(block_size, n: int, r=1) -> float:
     return math.log((n * rv) / bs)
 
 
+def information_sum(sizes: np.ndarray, nr: int) -> float:
+    """Size-weighted information sum over the positive entries of ``sizes``:
+    the sum of (s / nr) * log(nr / s).
+
+    ``sizes`` is an int64 vector of fixed-point block sizes (or per-block
+    masses of a subset) and ``nr`` the reference mass n*r in the same units.
+    Zero entries are blocks a projection discards; a vector without a
+    positive entry sums to zero. This is the one evaluation of the sum that
+    both the entropy functions and the merge engine use, so equal inputs
+    give bit-equal results.
+    """
+    nz = sizes[sizes > 0]
+    if nz.size == 0:
+        return 0.0
+    nr = float(nr)  # n*r may exceed int64 even though n and r fit in it
+    return float(np.sum((nz / nr) * np.log(nr / nz)))
+
+
 def generalized_entropy(g: FeatureAllocation) -> float:
-    """Entropy of an allocation, summed over blocks in their stored order.
+    """Entropy of an allocation through :func:`information_sum` over its
+    block sizes.
 
     Evaluated in double precision from the exact fixed-point sizes; the
     shared 1e-6 scale cancels inside each ratio. An empty allocation has
     entropy zero.
     """
-    if not g.blocks:
-        return 0.0
-    nr = g.n * g.r_scaled
-    total = 0.0
-    for b in g.blocks:
-        s = b.size_scaled
-        total += (s / nr) * math.log(nr / s)
-    return total
+    sizes = np.fromiter((b.size_scaled for b in g.blocks), np.int64, len(g.blocks))
+    return information_sum(sizes, g.n * g.r_scaled)
 
 
 def generalized_entropy_cod(g: FeatureAllocation) -> float:

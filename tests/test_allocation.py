@@ -9,7 +9,6 @@ from gea import fixedpoint as fp
 from gea.allocation import (
     Block,
     FeatureAllocation,
-    block_size,
     cod,
     format_allocation_text,
     from_multiset,
@@ -26,7 +25,6 @@ from helpers import random_allocation
 def test_block_size_sums_weights_exactly():
     b = Block.from_weights({0: 1.0, 2: 2.0, 5: 0.5, 6: 0.3})
     assert b.size == Fraction(19, 5)  # 3.8 exactly
-    assert block_size(b) == Fraction(19, 5)
     assert fp.format_decimal(b.size_scaled) == "3.8"
 
 
@@ -64,6 +62,23 @@ def test_allocation_validates_element_range_and_r():
         FeatureAllocation(7, (b,), 0)
     with pytest.raises(ValueError):
         FeatureAllocation(-1, (), fp.SCALE)
+
+
+def test_allocation_rejects_values_beyond_int64():
+    # the largest int64 is accepted as a block size, n and r; one unit more
+    # is rejected, and a block size over the limit, whether from one weight
+    # or summed over several, names the block
+    top = 2**63 - 1
+    FeatureAllocation(2, (Block({0: top}),), fp.SCALE)
+    with pytest.raises(ValueError, match="block 1: size"):
+        FeatureAllocation(2, (Block({0: 1}), Block({0: top, 1: 1})), fp.SCALE)
+    with pytest.raises(ValueError, match="block 0: size"):
+        FeatureAllocation(1, (Block({0: top + 1}),), fp.SCALE)
+    FeatureAllocation(top, (), top)
+    with pytest.raises(ValueError, match="element count"):
+        FeatureAllocation(top + 1, (), fp.SCALE)
+    with pytest.raises(ValueError, match="recurrence base"):
+        FeatureAllocation(2, (), top + 1)
 
 
 def test_allocation_r_is_exact():
@@ -214,6 +229,7 @@ def test_parse_mixed_tokens_fold_by_summing():
         ("n=3 r=1.0\n0:1.0\n", "element 0 outside"),
         ("n=3 r=1.0\n1:abc\n", "malformed token"),
         ("n=3 r=1.0\nx\n", "malformed token"),
+        ("n=3 r=1.0\n\u00b2:1.0\n", "line 2: malformed token"),  # a digit, not decimal
         ("n=3 r=1.0\n1:-2.0\n", "non-positive weight"),
         ("n=3 r=1.0\n1:0.0\n", "non-positive weight"),
         ("n=x r=1.0\n", "header"),

@@ -11,7 +11,6 @@ from gea.categorize import (
     NumericDataset,
     categorize,
     minmax_scale,
-    neighborhood,
 )
 
 
@@ -54,39 +53,35 @@ def test_params_validation(kwargs):
         CategorizationParams(**kwargs)
 
 
-# --- neighborhood ----------------------------------------------------------------
+# --- neighborhood weights ------------------------------------------------------
+
+
+def single_value_weights(p):
+    """Weights one value at a grid point spreads, in ascending offset order."""
+    g = categorize(NumericDataset(("x",), ((0.0,),)), p)
+    return [fp.to_float(b.entries[0]) for b in g.blocks]
 
 
 def test_neighborhood_m0_is_center_only():
-    assert neighborhood(5.1, params(m=0)) == [(0, 1.0)]
+    assert single_value_weights(params(m=0)) == [1.0]
 
 
 def test_neighborhood_weights_m2_gamma1():
-    got = dict(neighborhood(0.0, params(m=2, gamma=1.0)))
-    assert got == {-2: 0.333333, -1: 0.666667, 0: 1.0, 1: 0.666667, 2: 0.333333}
+    got = single_value_weights(params(m=2, gamma=1.0))
+    assert got == [0.333333, 0.666667, 1.0, 0.666667, 0.333333]
 
 
 def test_neighborhood_weights_m5_gamma3():
-    got = dict(neighborhood(0.0, params(m=5, gamma=3.0)))
-    flanks = {abs(mu): w for mu, w in got.items() if mu}
-    assert got[0] == 1.0
-    assert flanks == {
-        1: 0.578704,
-        2: 0.296296,
-        3: 0.125,
-        4: 0.037037,
-        5: 0.00463,
-    }
+    got = single_value_weights(params(m=5, gamma=3.0))
+    flanks = [0.578704, 0.296296, 0.125, 0.037037, 0.00463]
+    assert got == flanks[::-1] + [1.0] + flanks
 
 
-def test_neighborhood_lists_zero_weight_flanks():
-    # gamma large enough that outer flanks round to zero; they are still
-    # listed here but never materialize as block entries
-    p = params(m=2, gamma=20.0)
-    got = dict(neighborhood(0.0, p))
-    assert got[2] == 0.0 and got[1] > 0.0
-    g = categorize(NumericDataset(("x",), ((0.0,),)), p)
-    assert len(g.blocks) == 3  # center + the two mu=+-1 flanks that survive
+def test_neighborhood_drops_zero_weight_flanks():
+    # gamma large enough that the mu=+-2 flanks round to zero: they never
+    # materialize as blocks, while the mu=+-1 flanks survive
+    got = single_value_weights(params(m=2, gamma=20.0))
+    assert got == [0.000301, 1.0, 0.000301]
 
 
 # --- categorize -------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Command-line surface: parsing, pipeline orchestration, exit codes."""
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
 from gea.allocation import format_allocation_text
 from gea.categorize import CategorizationParams, NumericDataset, categorize
-from gea.cli import InputError, RunConfig, parse_allocation, parse_csv, run
+from gea.cli import InputError, main, parse_allocation, parse_csv
 
 IRIS = str(resources.files("gea") / "data" / "iris.csv")
 
@@ -215,17 +218,101 @@ def test_internal_failures_exit_2(tmp_path, monkeypatch, capsys):
 
     path = write(tmp_path, "a.txt", "n=2 r=1.0\n1 2\n")
     monkeypatch.setattr("gea.cli.gea", boom)
-    code = run(RunConfig(input=path, mode="allocation"))
-    assert code == 2
-    assert "internal error" in capsys.readouterr().err
+    monkeypatch.setattr("gea.cli.generalized_entropy", boom)
+    for argv in (["cluster", "--input", path, "--mode", "allocation"], ["entropy", "--input", path]):
+        assert main(argv) == 2
+        assert "internal error: RuntimeError('injected')" in capsys.readouterr().err
 
 
 def test_run_returns_0_quietly(tmp_path, capsys):
     path = write(tmp_path, "a.txt", "n=2 r=1.0\n1 2\n")
-    code = run(RunConfig(input=path, mode="allocation"))
+    code = main(["cluster", "--input", path, "--mode", "allocation"])
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["n"] == 2
+    assert "error" not in captured.err
+
+
+# one block whose size overflows int64 fixed-point units: summed over two
+# entries (the merge engine once wrapped it to height 0.0), or in one weight
+OVERFLOW_INPUTS = [
+    "n=2 r=1.0\n1:9223372036854 2:9223372036854\n",
+    "n=2 r=1.0\n1:9999999999999 2\n",
+]
+
+
+@pytest.mark.parametrize("text", OVERFLOW_INPUTS, ids=["summed", "one-weight"])
+@pytest.mark.parametrize(
+    "command", [("cluster", "--mode", "allocation"), ("entropy",)], ids=["cluster", "entropy"]
+)
+def test_block_size_overflow_exits_1(tmp_path, capsys, text, command):
+    path = write(tmp_path, "big.txt", text)
+    assert main([*command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert "block 0: size" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("r", ["1e3", "1/3", "0.0", "9223372036855"])
+def test_r_option_is_a_positive_decimal_in_every_mode(tmp_path, capsys, r):
+    # numeric mode reads --r like the allocation header does: no exponent,
+    # no fraction, and within the int64 fixed-point range
+    alloc = write(tmp_path, "a.txt", ALLOC_TEXT)
+    csv_path = write(tmp_path, "t.csv", "x\n1.0\n2.0\n")
+    numeric = ["cluster", "--input", csv_path, "--mode", "numeric", "--d", "2", "--m", "1",
+               "--gamma", "1"]
+    for argv in (numeric, ["cluster", "--input", alloc, "--mode", "allocation"],
+                 ["entropy", "--input", alloc]):
+        assert main([*argv, "--r", r]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+    assert main([*numeric, "--r", "2.5"]) == 0
+
+
+# --- exit codes on arbitrary allocation text ---------------------------------------
+
+WEIGHTS = st.sampled_from([
+    "1", "0.5", "2.000001", "0", "-1", "1e3", "abc", "",
+    "4611686018427", "9223372036854", "9223372036854.775807", "9223372036854.775808",
+    "9223372036855", "9999999999999", "99999999999999999999",
+])
+ELEMENTS = st.integers(1, 3) | st.integers(0, 9)
+TOKENS = st.one_of(  # bare elements listed twice so more lines parse
+    ELEMENTS.map(str),
+    ELEMENTS.map(str),
+    st.tuples(ELEMENTS, WEIGHTS).map(lambda t: f"{t[0]}:{t[1]}"),
+    st.text(max_size=4),
+)
+LINES = st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=4)
+R_VALUES = st.sampled_from(
+    ["1.0", "0.5", "2", "3.25", "9223372036854.775807", "0", "1e3", "1" * 40]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["cluster", "entropy"]),
+    r=R_VALUES,
+    override=st.none() | R_VALUES,
+    lines=LINES,
+)
+def test_allocation_text_exits_only_0_or_1(tmp_path_factory, data, command, r, override, lines):
+    # a header n <= 8 keeps the O(n^2) engine tiny; entropy takes any n
+    small = st.integers(0, 8)
+    n = data.draw(small if command == "cluster" else small | st.integers(0, 2**64))
+    path = tmp_path_factory.mktemp("fuzz") / "a.txt"
+    path.write_text("\n".join([f"n={n} r={r}", *lines]) + "\n", encoding="utf-8")
+    argv = [command, "--input", str(path)]
+    if command == "cluster":
+        argv += ["--mode", "allocation"]
+    if override is not None:
+        argv += ["--r", override]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue()
 
 
 def test_seed_env_var_changes_nothing(tmp_path, monkeypatch):
