@@ -6,11 +6,13 @@ height. Heights may be negative (weights above the recurrence base) and are
 not monotone across merges, so flat clusters are produced by undoing merges
 in reverse merge order rather than by thresholding heights.
 
-The engine caches candidate-pair entropies: after a merge it drops the rows
-of the merged pair and evaluates only pairs involving the new cluster, so a
-full run costs O(n) entropy evaluations per merge. Each cluster carries its
-per-block weight mass, which makes one evaluation a vector sum over blocks
-instead of a fresh projection of the whole allocation.
+The engine keeps every live cluster in a slot: a row of an n-by-blocks
+mass matrix and a row and column of an n-by-n matrix of candidate union
+entropies. A merge keeps the union in the lower of its two slots, retires
+the other by filling its row and column with inf, and re-evaluates only the
+kept slot's row, so a full run costs O(n) entropy evaluations per merge.
+Because one evaluation is a vector sum over the per-block masses, it never
+re-projects the whole allocation.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ TIE_TOLERANCE = 1e-12
 class Merge:
     """One agglomeration step: child node ids, the entropy of the merged
     subset, and that subset's element count. Node ids 0..n-1 are leaves;
-    merge i creates node n+i."""
+    merge i creates node n+i, and ``left < right`` always."""
 
     left: int
     right: int
@@ -67,7 +69,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     subset's own element count and the allocation's recurrence base. The
     merge with minimal entropy wins; near-exact ties (within
     ``TIE_TOLERANCE``) go to the union whose sorted element ids compare
-    least.
+    least. Working memory is 8*n**2 bytes of candidate heights plus 8*n*B
+    bytes of per-block mass for B blocks.
     """
     n = g.n
     if n < 1:
@@ -76,52 +79,40 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         return Dendrogram(1, g.r_scaled, ())
 
     r_s = g.r_scaled
-    nblocks = len(g.blocks)
-    base = np.zeros((n, max(nblocks, 1)), dtype=np.int64)
+    # slot i: mass row, dendrogram node id, sorted members, heights row/column
+    mass = np.zeros((n, max(len(g.blocks), 1)), dtype=np.int64)
     for j, b in enumerate(g.blocks):
         for e, w in b.entries.items():
-            base[e, j] = w
-
-    mass = {i: base[i] for i in range(n)}
-    members = {i: (i,) for i in range(n)}
-    active = list(range(n))
-
-    heights: dict[tuple[int, int], float] = {}
-    for i, a in enumerate(active):
-        for b in active[i + 1 :]:
-            heights[(a, b)] = information_sum(mass[a] + mass[b], 2 * r_s)
+            mass[e, j] = w
+    node = list(range(n))
+    members = [(i,) for i in range(n)]
+    live = list(range(n))
+    # union entropy of slots a < b at [a, b]; inf below the diagonal and
+    # in the row and column of every retired slot
+    heights = np.full((n, n), np.inf)
+    for a in range(n):
+        for b in range(a + 1, n):
+            heights[a, b] = information_sum(mass[a] + mass[b], 2 * r_s)
 
     merges = []
-    next_id = n
-    while len(active) > 1:
-        best = min(heights.values())
-        ties = [pair for pair, h in heights.items() if h <= best + TIE_TOLERANCE]
-        if len(ties) == 1:
-            pick = ties[0]
-        else:
-            pick = min(ties, key=lambda p: tuple(sorted(members[p[0]] + members[p[1]])))
-        a, b = pick
-        height = heights[pick]
+    for step in range(n - 1):
+        ties = np.argwhere(heights <= heights.min() + TIE_TOLERANCE).tolist()
+        a, b = min(ties, key=lambda p: tuple(sorted(members[p[0]] + members[p[1]])))
+        mass[a] += mass[b]
+        members[a] = tuple(sorted(members[a] + members[b]))
+        size = len(members[a])
+        left, right = sorted((node[a], node[b]))
+        merges.append(Merge(left, right, float(heights[a, b]), size))
+        node[a] = n + step
+        live.remove(b)
+        heights[b, :] = heights[:, b] = np.inf
+        for o in live:
+            if o != a:
+                heights[min(o, a), max(o, a)] = information_sum(
+                    mass[o] + mass[a], (len(members[o]) + size) * r_s
+                )
 
-        new_id = next_id
-        next_id += 1
-        mass[new_id] = mass[a] + mass[b]
-        members[new_id] = tuple(sorted(members[a] + members[b]))
-        merges.append(Merge(a, b, height, len(members[new_id])))
-
-        active = [x for x in active if x != a and x != b]
-        for pair in [p for p in heights if a in p or b in p]:
-            del heights[pair]
-        del mass[a], mass[b], members[a], members[b]
-
-        count = len(members[new_id])
-        for other in active:
-            heights[(other, new_id)] = information_sum(
-                mass[other] + mass[new_id], (len(members[other]) + count) * r_s
-            )
-        active.append(new_id)
-
-    if len(merges) != n - 1 or merges[-1].size != n:
+    if merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")
     return Dendrogram(n, r_s, tuple(merges))
 

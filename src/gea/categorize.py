@@ -63,8 +63,8 @@ class CategorizationParams:
     r: object = 1
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError("division parameter d must be an integer >= 1")
+        if not isinstance(self.d, int) or not 1 <= self.d < 2**63:
+            raise ValueError("division parameter d must be an integer in [1, 2**63)")
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("overlap parameter m must be an integer >= 0")
         if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)) or self.gamma < 0:
@@ -101,8 +101,11 @@ def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAlloc
     offsets = _offset_weights(params)
     cats: dict[int, dict[int, int]] = {}
     for e, row in enumerate(ds.values):
-        for v in row:
-            g0 = _snap(v, params.d)
+        for name, v in zip(ds.dims, row):
+            y = v * params.d
+            if not math.isfinite(y):
+                raise ValueError(f"row {e}, dimension {name!r}: {v!r} * d overflows the grid")
+            g0 = _snap(y)
             for mu, w in offsets:
                 if w == 0:
                     continue
@@ -112,9 +115,8 @@ def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAlloc
     return FeatureAllocation(ds.n, blocks, fp.from_number(params.r))
 
 
-def _snap(v: float, d: int) -> int:
-    """Nearest 1/d grid index of v, ties away from zero."""
-    y = v * d
+def _snap(y: float) -> int:
+    """Nearest integer to y (a value times d), ties away from zero."""
     return math.floor(y + 0.5) if y >= 0 else -math.floor(-y + 0.5)
 
 

@@ -54,9 +54,10 @@ def random_allocation(
     max_blocks: int = 8,
     max_weight: float = 3.0,
     r_choices=(0.5, 1.0, 2.0),
+    min_n: int = 2,
 ) -> FeatureAllocation:
     """Random allocation with fixed-point weights up to ``max_weight``."""
-    n = rng.randint(2, max_n)
+    n = rng.randint(min_n, max_n)
     blocks = []
     for _ in range(rng.randint(1, max_blocks)):
         size = rng.randint(1, n)

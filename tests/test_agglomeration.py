@@ -4,6 +4,8 @@ import math
 import random
 import re
 import warnings
+from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -21,9 +23,13 @@ from gea.agglomeration import (
     to_newick,
 )
 from gea.allocation import Block, FeatureAllocation, from_multiset
+from gea.categorize import CategorizationParams, categorize
+from gea.cli import parse_csv
 from gea.entropy import EmptyProjectionWarning, subset_entropy
 
 from helpers import engine_members, naive_gea_members, random_allocation
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 def three_elements():
@@ -87,6 +93,7 @@ def test_dendrogram_structure_invariants():
         children = [m.left for m in d.merges] + [m.right for m in d.merges]
         assert sorted(children) == sorted(set(children))  # each node a child once
         assert set(children) <= set(range(2 * g.n - 2))
+        assert all(m.left < m.right for m in d.merges)
         assert d.merges[-1].size == g.n
 
 
@@ -114,6 +121,22 @@ def test_engine_matches_naive_oracle():
     for _ in range(30):
         g = random_allocation(rng, max_n=9)
         assert engine_members(gea(g)) == naive_gea_members(g)
+
+
+def test_engine_matches_naive_oracle_at_larger_n():
+    rng = random.Random(40)
+    for _ in range(4):
+        g = random_allocation(rng, min_n=30, max_n=40, max_blocks=20)
+        assert engine_members(gea(g)) == naive_gea_members(g)
+
+
+def test_iris_merge_order_matches_benchmark_reference():
+    # the benchmark's recorded Iris dendrogram (d=10, m=5, gamma=3, r=1)
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["iris"]
+    ds = parse_csv(str(resources.files("gea") / "data" / "iris.csv"), "species")
+    d = gea(categorize(ds, CategorizationParams(d=10, m=5, gamma=3, r=1)))
+    assert [[m.left, m.right, m.size] for m in d.merges] == ref["topology"]
+    assert [m.height for m in d.merges] == pytest.approx(ref["heights"], abs=1e-9)
 
 
 def test_permutation_equivariance_without_ties():

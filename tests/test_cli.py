@@ -269,6 +269,19 @@ def test_r_option_is_a_positive_decimal_in_every_mode(tmp_path, capsys, r):
     assert main([*numeric, "--r", "2.5"]) == 0
 
 
+@pytest.mark.parametrize("text, d", [("a,b\n1e308,1\n2,3\n", "10"),
+                                     ("x\n1.0\n2.0\n", str(10**400))],
+                         ids=["value-times-d", "huge-d"])
+def test_grid_overflow_exits_1(tmp_path, capsys, text, d):
+    # a value times d beyond float range, or d beyond int64, is bad input
+    path = write(tmp_path, "t.csv", text)
+    argv = ["cluster", "--input", path, "--mode", "numeric", "--d", d, "--m", "1", "--gamma", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "internal error" not in captured.err
+    assert captured.out == ""
+
+
 # --- exit codes on arbitrary allocation text ---------------------------------------
 
 WEIGHTS = st.sampled_from([
