@@ -4,8 +4,8 @@ A feature allocation assigns each of ``n`` elements to zero or more blocks,
 where a block carries a positive rational occurrence weight per element.
 Classic set-valued blocks are the special case of weight 1; integer weights
 encode multiset blocks; general weights come from the numeric categorization
-pipeline. Elements are indexed 0..n-1 internally. The text format and the
-multiset constructors speak the 1-based convention used in presentation.
+pipeline. Elements are indexed 0..n-1 internally; the text format speaks
+the 1-based convention used in presentation.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -16,7 +16,6 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -67,39 +66,17 @@ class Block:
     def size_scaled(self) -> int:
         return sum(self.entries.values())
 
-    @property
-    def size(self) -> Fraction:
-        """Block size: the exact sum of its occurrence weights."""
-        return fp.to_fraction(self.size_scaled)
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(self.entries)
-
-    def to_multiset(self) -> list[int]:
-        """Expand integer weights back to a sorted 1-based element multiset."""
-        out = []
-        for elem, weight in self.entries.items():
-            if not fp.is_integral(weight):
-                raise ValueError(
-                    f"element {elem} has non-integer weight "
-                    f"{fp.format_decimal(weight)}; not a multiset block"
-                )
-            out.extend([elem + 1] * (weight // fp.SCALE))
-        return out
-
 
 @dataclass(frozen=True)
 class FeatureAllocation:
     """A multiset of blocks over elements 0..n-1 plus a recurrence base.
 
     ``blocks`` keeps duplicates and preserves order; ``r_scaled`` is the
-    positive recurrence base in fixed-point units (the :attr:`r` property
-    exposes it as an exact Fraction). The recurrence base sets the reference
-    mass ``n*r`` that entropies are measured against. ``n``, ``r_scaled`` and
-    every block size must fit in int64: entropies and merge masses are
-    evaluated from int64 vectors (a subset's mass in a block never exceeds
-    the block's size), and n*r must stay a finite float.
+    positive recurrence base in fixed-point units. The recurrence base sets
+    the reference mass ``n*r`` that entropies are measured against. ``n``,
+    ``r_scaled`` and every block size must fit in int64: entropies and merge
+    masses are evaluated from int64 vectors (a subset's mass in a block
+    never exceeds the block's size), and n*r must stay a finite float.
     """
 
     n: int
@@ -124,10 +101,6 @@ class FeatureAllocation:
                 f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
             )
 
-    @property
-    def r(self) -> Fraction:
-        return fp.to_fraction(self.r_scaled)
-
     @classmethod
     def from_weights(
         cls,
@@ -138,32 +111,6 @@ class FeatureAllocation:
         """Build from plain-number weight maps and a plain recurrence base."""
         blocks = tuple(Block.from_weights(m) for m in block_weights)
         return cls(n, blocks, fp.from_number(r))
-
-    def to_multisets(self) -> list[list[int]]:
-        """Expand every block via :meth:`Block.to_multiset` (1-based)."""
-        return [b.to_multiset() for b in self.blocks]
-
-
-def from_multiset(multisets: Iterable[Iterable[int]], n: int) -> FeatureAllocation:
-    """Build an integer-weight allocation from element multisets.
-
-    Elements are given 1-based (the presentation convention, also used by
-    the text format); multiplicities become integer weights and the
-    recurrence base is fixed at 1. E.g. ``[[1, 3, 3, 6, 7]]`` yields one
-    block with weight 2 on element 3.
-    """
-    blocks = []
-    for i, ms in enumerate(multisets):
-        counts = Counter(ms)
-        if not counts:
-            raise ValueError(f"block {i}: empty multiset")
-        entries = {}
-        for elem in sorted(counts):
-            if not isinstance(elem, int) or not 1 <= elem <= n:
-                raise ValueError(f"block {i}: element {elem!r} outside 1..{n}")
-            entries[elem - 1] = counts[elem] * fp.SCALE
-        blocks.append(Block(entries))
-    return FeatureAllocation(n, tuple(blocks), fp.SCALE)
 
 
 def project(g: FeatureAllocation, subset: Iterable[int]) -> FeatureAllocation:

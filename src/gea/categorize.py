@@ -121,14 +121,19 @@ def _snap(y: float) -> int:
 
 
 def minmax_scale(ds: NumericDataset) -> NumericDataset:
-    """Rescale each dimension to [0, 1]; constant dimensions map to 0."""
+    """Rescale each dimension to [0, 1]; constant dimensions map to 0.
+
+    A column whose span overflows the float range is scaled from its values
+    halved, which is exact at that magnitude; other columns are not halved.
+    """
     cols = list(zip(*ds.values)) if ds.values else []
     spans = []
     for col in cols:
         lo, hi = min(col), max(col)
-        spans.append((lo, hi - lo))
+        h = 0.5 if math.isinf(hi - lo) else 1.0
+        spans.append((h, lo * h, hi * h - lo * h))
     scaled = tuple(
-        tuple((v - lo) / span if span else 0.0 for v, (lo, span) in zip(row, spans))
+        tuple((v * h - lo) / span if span else 0.0 for v, (h, lo, span) in zip(row, spans))
         for row in ds.values
     )
     return NumericDataset(ds.dims, scaled, ds.labels)

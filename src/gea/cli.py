@@ -28,37 +28,35 @@ from .categorize import CategorizationParams, NumericDataset, categorize, minmax
 from .entropy import generalized_entropy
 
 
-class InputError(Exception):
-    """Bad input file or bad option combination; maps to exit code 1."""
-
-
 def parse_csv(path, label_col: str | None = None) -> NumericDataset:
-    """Read a UTF-8 CSV with a header row; every column except the optional
-    label column must parse as a number."""
+    """Read a UTF-8 CSV (a leading byte-order mark is skipped) with a header
+    row; every column except the optional label column must parse as a
+    number. Errors name rows by their line in the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     if not rows:
-        raise InputError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0][1]]
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
-        raise InputError(f"{path}: duplicate header names: {', '.join(dupes)}")
+        raise ValueError(f"{path}: duplicate header names: {', '.join(dupes)}")
     label_idx = None
     if label_col is not None:
         if label_col not in header:
-            raise InputError(f"{path}: no column named {label_col!r}")
+            raise ValueError(f"{path}: no column named {label_col!r}")
         label_idx = header.index(label_col)
     dims = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not dims:
-        raise InputError(f"{path}: no numeric columns")
+        raise ValueError(f"{path}: no numeric columns")
     values = []
     labels: list[str] | None = [] if label_idx is not None else None
-    for rowno, row in enumerate(rows[1:], start=2):
+    for rowno, row in rows[1:]:
         if len(row) != len(header):
-            raise InputError(
+            raise ValueError(
                 f"{path}: row {rowno}: expected {len(header)} cells, got {len(row)}"
             )
         vals = []
@@ -69,18 +67,18 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
             try:
                 v = float(cell)
             except ValueError:
-                raise InputError(
+                raise ValueError(
                     f"{path}: row {rowno}, column {header[i]!r}: "
                     f"cannot parse {cell.strip()!r} as a number"
                 ) from None
             if not math.isfinite(v):
-                raise InputError(
+                raise ValueError(
                     f"{path}: row {rowno}, column {header[i]!r}: non-finite value"
                 )
             vals.append(v)
         values.append(tuple(vals))
     if not values:
-        raise InputError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return NumericDataset(dims, tuple(values), tuple(labels) if labels else None)
 
 
@@ -88,13 +86,13 @@ def parse_allocation(path, r_override: str | None = None) -> FeatureAllocation:
     """Read an allocation text file. ``r_override`` (a decimal string)
     replaces the header's recurrence base, with a warning when they differ."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         g = parse_allocation_text(text)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     if r_override is not None:
         r_s = _parse_r(r_override)
         if r_s != g.r_scaled:
@@ -113,9 +111,9 @@ def _parse_r(text: str) -> int:
     try:
         r_s = fp.from_decimal(text)
     except ValueError as exc:
-        raise InputError(f"bad --r value: {exc}") from None
+        raise ValueError(f"bad --r value: {exc}") from None
     if r_s <= 0:
-        raise InputError("--r must be positive")
+        raise ValueError("--r must be positive")
     return r_s
 
 
@@ -125,7 +123,7 @@ def _execute(args: argparse.Namespace) -> None:
     labels = None
     if args.mode == "numeric":
         if args.d is None or args.m is None or args.gamma is None:
-            raise InputError("--mode numeric requires --d, --m and --gamma")
+            raise ValueError("--mode numeric requires --d, --m and --gamma")
         r_s = fp.SCALE if args.r is None else _parse_r(args.r)
         ds = parse_csv(args.input, args.label_col)
         labels = ds.labels
@@ -136,7 +134,7 @@ def _execute(args: argparse.Namespace) -> None:
     else:
         g = parse_allocation(args.input, args.r)
     if args.cut is not None and not 1 <= args.cut <= g.n:
-        raise InputError(f"--cut must be in 1..{g.n}, got {args.cut}")
+        raise ValueError(f"--cut must be in 1..{g.n}, got {args.cut}")
 
     dend = gea(g)
     _emit(dend, args)
@@ -182,7 +180,7 @@ def _emit(dend, args: argparse.Namespace) -> None:
 class _Parser(argparse.ArgumentParser):
     # usage problems are input errors (exit 1), not internal ones
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +230,7 @@ def main(argv=None) -> int:
         else:
             _execute(args)
         return 0
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # invariant violations and everything unexpected

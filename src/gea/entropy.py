@@ -27,23 +27,6 @@ class EmptyProjectionWarning(UserWarning):
     """A projection wiped out every block; entropy is defined as zero."""
 
 
-def gpei(block_size, n: int, r=1) -> float:
-    """Per-element information of one block: log(n*r / block_size).
-
-    ``block_size`` and ``r`` may be any positive numbers (int, float,
-    Fraction). Negative iff the block is heavier than the reference mass.
-    """
-    bs = float(block_size)
-    if bs <= 0:
-        raise ValueError("block size must be positive")
-    if n < 1:
-        raise ValueError("element count must be >= 1")
-    rv = float(r)
-    if rv <= 0:
-        raise ValueError("recurrence base must be positive")
-    return math.log((n * rv) / bs)
-
-
 def information_sum(sizes: np.ndarray, nr: int) -> float:
     """Size-weighted information sum over the positive entries of ``sizes``:
     the sum of (s / nr) * log(nr / s).

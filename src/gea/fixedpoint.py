@@ -40,10 +40,6 @@ def from_decimal(text: str) -> int:
     return from_number(Fraction(t))
 
 
-def to_float(scaled: int) -> float:
-    return scaled / SCALE
-
-
 def to_fraction(scaled: int) -> Fraction:
     return Fraction(scaled, SCALE)
 

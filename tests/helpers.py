@@ -13,11 +13,11 @@ from gea.agglomeration import TIE_TOLERANCE, Dendrogram
 from gea.entropy import EmptyProjectionWarning, subset_entropy
 
 
-def naive_gea_members(g: FeatureAllocation) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """From-scratch agglomeration; returns the merge sequence as canonical
-    (left-members, right-members) tuples, lexicographically ordered."""
+def _naive_steps(g: FeatureAllocation):
+    """From-scratch agglomeration; yields, for each merge, every candidate
+    pair's union entropy and the merge as a canonical (left-members,
+    right-members) tuple, lexicographically ordered."""
     clusters = [(i,) for i in range(g.n)]
-    seq = []
     while len(clusters) > 1:
         scored = []
         with warnings.catch_warnings():
@@ -31,10 +31,25 @@ def naive_gea_members(g: FeatureAllocation) -> list[tuple[tuple[int, ...], tuple
         ties = [(i, j) for h, i, j in scored if h <= best + TIE_TOLERANCE]
         i, j = min(ties, key=lambda p: tuple(sorted(clusters[p[0]] + clusters[p[1]])))
         a, b = clusters[i], clusters[j]
-        seq.append(tuple(sorted((tuple(sorted(a)), tuple(sorted(b))))))
+        yield [h for h, _, _ in scored], tuple(sorted((tuple(sorted(a)), tuple(sorted(b)))))
         clusters = [c for t, c in enumerate(clusters) if t not in (i, j)]
         clusters.append(tuple(sorted(a + b)))
-    return seq
+
+
+def naive_gea_members(g: FeatureAllocation) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The oracle's merge sequence as canonical member tuples."""
+    return [merge for _, merge in _naive_steps(g)]
+
+
+def naive_decision_margin(g: FeatureAllocation) -> float:
+    """The oracle's smallest best-versus-runner-up height gap over all merge
+    steps that have a runner-up (inf when none has, i.e. n <= 2)."""
+    gaps = []
+    for heights, _ in _naive_steps(g):
+        if len(heights) > 1:
+            best, runner_up = sorted(heights)[:2]
+            gaps.append(runner_up - best)
+    return min(gaps, default=math.inf)
 
 
 def engine_members(d: Dendrogram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

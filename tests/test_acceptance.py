@@ -12,6 +12,7 @@ import sys
 import time
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from gea import fixedpoint as fp
@@ -19,7 +20,7 @@ from gea.agglomeration import cut, gea, score_accuracy
 from gea.allocation import Block, FeatureAllocation
 from gea.categorize import CategorizationParams, NumericDataset, categorize
 from gea.cli import parse_csv
-from gea.entropy import generalized_entropy, generalized_entropy_cod, gpei
+from gea.entropy import generalized_entropy, generalized_entropy_cod, information_sum
 
 from helpers import (
     engine_members,
@@ -113,10 +114,13 @@ def test_quadrature_check(report):
     for _ in range(100):
         n = rng.randint(1, 20)
         r = rng.choice([0.5, 1.0, 2.0, 3.5])
-        nr = n * r
-        bs = rng.uniform(1e-3, 2 * nr)
-        closed = gpei(bs, n, r)
-        integral = simpson(lambda s: 1 / s, bs, nr, 10_000)
+        # the kernel gea() evaluates, on a one-block int64 vector in
+        # fixed-point units: (s/nr) * log(nr/s), and log(nr/s) is the
+        # integral of 1/t from s to nr
+        nr = n * fp.from_number(r)
+        s = fp.from_number(rng.uniform(1e-3, 2 * n * r))
+        closed = information_sum(np.array([s], dtype=np.int64), nr)
+        integral = (s / nr) * simpson(lambda t: 1 / t, s, nr, 10_000)
         rel = abs(integral - closed) / max(abs(closed), 1e-12)
         worst = max(worst, rel)
     ok = worst <= 1e-6
@@ -153,11 +157,11 @@ def test_categorization_conservation(report):
         )
         g = categorize(ds, CategorizationParams(d=d, m=m, gamma=gamma, r=1))
         per_dim = 1.0 + 2 * sum(
-            fp.to_float(fp.from_number((1 - mu / (m + 1)) ** gamma))
+            fp.from_number((1 - mu / (m + 1)) ** gamma) / fp.SCALE
             for mu in range(1, m + 1)
         )
         for e in range(ds.n):
-            total = sum(fp.to_float(b.entries.get(e, 0)) for b in g.blocks)
+            total = sum(b.entries.get(e, 0) / fp.SCALE for b in g.blocks)
             worst = max(worst, abs(total / ncols - per_dim))
     ok = worst <= 1e-9
     report(

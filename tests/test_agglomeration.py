@@ -22,19 +22,19 @@ from gea.agglomeration import (
     to_json,
     to_newick,
 )
-from gea.allocation import Block, FeatureAllocation, from_multiset
+from gea.allocation import Block, FeatureAllocation, parse_allocation_text
 from gea.categorize import CategorizationParams, categorize
 from gea.cli import parse_csv
 from gea.entropy import EmptyProjectionWarning, subset_entropy
 
-from helpers import engine_members, naive_gea_members, random_allocation
+from helpers import engine_members, naive_decision_margin, naive_gea_members, random_allocation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 def three_elements():
     # {1,2} share a block; 3 sits alone
-    return from_multiset([[1, 2], [3]], n=3)
+    return parse_allocation_text("n=3 r=1.0\n1 2\n3\n")
 
 
 # --- gea ---------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_empty_universe_rejected():
 
 
 def test_two_singleton_blocks_merge_at_log2():
-    g = from_multiset([[1], [2]], n=2)
+    g = parse_allocation_text("n=2 r=1.0\n1\n2\n")
     d = gea(g)
     (m,) = d.merges
     assert {m.left, m.right} == {0, 1}
@@ -108,11 +108,8 @@ def test_zero_one_weights_give_nonnegative_heights():
     rng = random.Random(9)
     for _ in range(15):
         n = rng.randint(2, 9)
-        ms = [
-            sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
-            for _ in range(rng.randint(1, 6))
-        ]
-        d = gea(from_multiset(ms, n=n))
+        sets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        d = gea(FeatureAllocation.from_weights(n, [dict.fromkeys(s, 1) for s in sets]))
         assert all(m.height >= -1e-12 for m in d.merges)
 
 
@@ -128,6 +125,23 @@ def test_engine_matches_naive_oracle_at_larger_n():
     for _ in range(4):
         g = random_allocation(rng, min_n=30, max_n=40, max_blocks=20)
         assert engine_members(gea(g)) == naive_gea_members(g)
+
+
+def test_block_order_leaves_merges_unchanged_above_margin():
+    # shuffling blocks reorders the float sums; a merge sequence whose every
+    # decision is won by more than 1e-9 must not notice
+    rng, shuffler = random.Random(31), random.Random(32)
+    checked = 0
+    for _ in range(200):
+        g = random_allocation(rng, min_n=3, max_n=10, max_blocks=30)
+        if naive_decision_margin(g) <= 1e-9:
+            continue
+        blocks = list(g.blocks)
+        shuffler.shuffle(blocks)
+        shuffled = FeatureAllocation(g.n, tuple(blocks), g.r_scaled)
+        assert engine_members(gea(shuffled)) == engine_members(gea(g))
+        checked += 1
+    assert checked >= 150
 
 
 def test_iris_merge_order_matches_benchmark_reference():

@@ -1,6 +1,5 @@
 """Blocks, feature allocations, projection, size tallies, text format."""
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +10,6 @@ from gea.allocation import (
     FeatureAllocation,
     cod,
     format_allocation_text,
-    from_multiset,
     parse_allocation_text,
     project,
 )
@@ -24,13 +22,13 @@ from helpers import random_allocation
 
 def test_block_size_sums_weights_exactly():
     b = Block.from_weights({0: 1.0, 2: 2.0, 5: 0.5, 6: 0.3})
-    assert b.size == Fraction(19, 5)  # 3.8 exactly
+    assert b.size_scaled == 3_800_000  # 3.8 exactly
     assert fp.format_decimal(b.size_scaled) == "3.8"
 
 
 def test_block_entries_sorted_and_validated():
     b = Block({5: fp.SCALE, 1: 2 * fp.SCALE})
-    assert b.elements == (1, 5)
+    assert tuple(b.entries) == (1, 5)
     with pytest.raises(ValueError):
         Block({})
     with pytest.raises(ValueError):
@@ -41,13 +39,6 @@ def test_block_entries_sorted_and_validated():
         Block({-1: fp.SCALE})
     with pytest.raises(ValueError):
         Block({0: 1.5})  # plain numbers must go through from_weights
-
-
-def test_block_multiset_round_trip():
-    b = Block.from_weights({0: 1, 2: 2, 5: 1, 6: 1})
-    assert b.to_multiset() == [1, 3, 3, 6, 7]
-    with pytest.raises(ValueError):
-        Block.from_weights({0: 0.5}).to_multiset()
 
 
 # --- FeatureAllocation ------------------------------------------------------
@@ -83,25 +74,7 @@ def test_allocation_rejects_values_beyond_int64():
 
 def test_allocation_r_is_exact():
     g = FeatureAllocation.from_weights(3, [{0: 1}], r="2.0")
-    assert g.r == 2
     assert g.r_scaled == 2 * fp.SCALE
-
-
-def test_from_multiset_counts_multiplicities():
-    g = from_multiset([[1, 3, 3, 6, 7]], n=7)
-    (b,) = g.blocks
-    assert b.entries == {0: fp.SCALE, 2: 2 * fp.SCALE, 5: fp.SCALE, 6: fp.SCALE}
-    assert g.r == 1
-    assert g.to_multisets() == [[1, 3, 3, 6, 7]]
-
-
-def test_from_multiset_validates():
-    with pytest.raises(ValueError):
-        from_multiset([[0]], n=3)  # elements are 1-based
-    with pytest.raises(ValueError):
-        from_multiset([[4]], n=3)
-    with pytest.raises(ValueError):
-        from_multiset([[]], n=3)
 
 
 # --- project ----------------------------------------------------------------
@@ -109,7 +82,7 @@ def test_from_multiset_validates():
 
 def fixture_f():
     # {{1,3,6,7},{2},{4,5},{5}} over 7 elements (1-based notation)
-    return from_multiset([[1, 3, 6, 7], [2], [4, 5], [5]], n=7)
+    return parse_allocation_text("n=7 r=1.0\n1 3 6 7\n2\n4 5\n5\n")
 
 
 def test_project_restricts_and_reindexes():
@@ -163,13 +136,11 @@ def test_cod_counts_blocks_by_minimum_size():
 def test_cod_is_nonincreasing_on_random_input():
     rng = random.Random(4)
     for _ in range(30):
-        g = from_multiset(
-            [
-                [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
-                for _ in range(rng.randint(1, 6))
-            ],
-            n=6,
-        )
+        lines = [
+            " ".join(str(rng.randint(1, 6)) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        g = parse_allocation_text("n=6 r=1.0\n" + "\n".join(lines) + "\n")
         counts = cod(g).counts
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[0] == len(g.blocks)
@@ -202,7 +173,7 @@ n=7 r=2.0
 def test_parse_allocation_text():
     g = parse_allocation_text(EXAMPLE_TEXT)
     assert g.n == 7
-    assert g.r == 2
+    assert g.r_scaled == 2 * fp.SCALE
     assert len(g.blocks) == 4
     assert g.blocks[0].entries == {0: fp.SCALE, 2: 2 * fp.SCALE, 5: 500_000}
     assert g.blocks[3].entries == {4: 200_000}

@@ -19,7 +19,7 @@ def params(d=10, m=1, gamma=1.0, r=1):
 
 
 def entries(g):
-    return [{e: fp.to_float(w) for e, w in b.entries.items()} for b in g.blocks]
+    return [{e: w / fp.SCALE for e, w in b.entries.items()} for b in g.blocks]
 
 
 # --- dataset / params validation ------------------------------------------------
@@ -59,7 +59,7 @@ def test_params_validation(kwargs):
 def single_value_weights(p):
     """Weights one value at a grid point spreads, in ascending offset order."""
     g = categorize(NumericDataset(("x",), ((0.0,),)), p)
-    return [fp.to_float(b.entries[0]) for b in g.blocks]
+    return [b.entries[0] / fp.SCALE for b in g.blocks]
 
 
 def test_neighborhood_m0_is_center_only():
@@ -90,7 +90,7 @@ def test_neighborhood_drops_zero_weight_flanks():
 def test_single_value_m0():
     g = categorize(NumericDataset(("x",), ((5.1,),)), params(m=0))
     assert entries(g) == [{0: 1.0}]
-    assert g.n == 1 and g.r == 1
+    assert g.n == 1 and g.r_scaled == fp.SCALE
 
 
 def test_equal_values_connect():
@@ -163,11 +163,11 @@ def test_weight_conservation_random():
         )
         g = categorize(ds, p)
         per_dim = 1.0 + 2 * sum(
-            fp.to_float(fp.from_number((1 - mu / (m + 1)) ** gamma))
+            fp.from_number((1 - mu / (m + 1)) ** gamma) / fp.SCALE
             for mu in range(1, m + 1)
         )
         for e in range(ds.n):
-            total = sum(fp.to_float(b.entries.get(e, 0)) for b in g.blocks)
+            total = sum(b.entries.get(e, 0) / fp.SCALE for b in g.blocks)
             assert abs(total - ncols * per_dim) <= 1e-9
 
 

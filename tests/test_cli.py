@@ -11,10 +11,11 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gea import fixedpoint as fp
 from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
 from gea.allocation import format_allocation_text
 from gea.categorize import CategorizationParams, NumericDataset, categorize
-from gea.cli import InputError, main, parse_allocation, parse_csv
+from gea.cli import main, parse_allocation, parse_csv
 
 IRIS = str(resources.files("gea") / "data" / "iris.csv")
 
@@ -53,7 +54,7 @@ def test_parse_csv_iris_fixture():
 
 def test_parse_csv_without_label_column_rejects_text_cells():
     # with no label column declared, every column must be numeric
-    with pytest.raises(InputError, match="column 'species'"):
+    with pytest.raises(ValueError, match="column 'species'"):
         parse_csv(IRIS)
 
 
@@ -72,22 +73,29 @@ def test_parse_csv_single_row(tmp_path):
         ("x,y\n1.0\n", "expected 2 cells"),
         ("x,y\n1.0,inf\n", "non-finite"),
         ("x,y\n", "no data rows"),
+        ("a,b\n\n1,2\n3,x\n", "row 4, column 'b'"),  # rows are file lines
     ],
 )
 def test_parse_csv_errors(tmp_path, text, fragment):
     path = write(tmp_path, "bad.csv", text)
-    with pytest.raises(InputError, match=fragment):
+    with pytest.raises(ValueError, match=fragment):
         parse_csv(path)
 
 
 def test_parse_csv_missing_label_column(tmp_path):
     path = write(tmp_path, "d.csv", "x,y\n1.0,2.0\n")
-    with pytest.raises(InputError, match="no column named 'label'"):
+    with pytest.raises(ValueError, match="no column named 'label'"):
         parse_csv(path, label_col="label")
 
 
+def test_parse_csv_skips_byte_order_mark(tmp_path):
+    path = write(tmp_path, "bom.csv", "\ufeffspecies,x\na,1.0\nb,2.0\n")
+    ds = parse_csv(path, label_col="species")
+    assert ds.dims == ("x",) and ds.labels == ("a", "b")
+
+
 def test_parse_csv_missing_file():
-    with pytest.raises(InputError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read"):
         parse_csv("/nonexistent/never.csv")
 
 
@@ -97,13 +105,18 @@ def test_parse_csv_missing_file():
 def test_parse_allocation_reads_header(tmp_path):
     path = write(tmp_path, "a.txt", ALLOC_TEXT)
     g = parse_allocation(path)
-    assert g.n == 7 and g.r == 2 and len(g.blocks) == 4
+    assert g.n == 7 and g.r_scaled == 2 * fp.SCALE and len(g.blocks) == 4
+
+
+def test_parse_allocation_skips_byte_order_mark(tmp_path):
+    path = write(tmp_path, "bom.txt", "\ufeff" + ALLOC_TEXT)
+    assert parse_allocation(path) == parse_allocation(write(tmp_path, "a.txt", ALLOC_TEXT))
 
 
 def test_parse_allocation_r_override_warns(tmp_path, capsys):
     path = write(tmp_path, "a.txt", ALLOC_TEXT)
     g = parse_allocation(path, r_override="1.5")
-    assert g.r == 1.5
+    assert g.r_scaled == 1_500_000
     assert "overrides header" in capsys.readouterr().err
     # same value: no warning
     parse_allocation(path, r_override="2.0")
@@ -112,15 +125,15 @@ def test_parse_allocation_r_override_warns(tmp_path, capsys):
 
 def test_parse_allocation_rejects_bad_override(tmp_path):
     path = write(tmp_path, "a.txt", ALLOC_TEXT)
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         parse_allocation(path, r_override="zero")
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         parse_allocation(path, r_override="0.0")
 
 
 def test_parse_allocation_propagates_line_errors(tmp_path):
     path = write(tmp_path, "a.txt", "n=3 r=1.0\n9\n")
-    with pytest.raises(InputError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         parse_allocation(path)
 
 
@@ -280,6 +293,15 @@ def test_grid_overflow_exits_1(tmp_path, capsys, text, d):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "internal error" not in captured.err
     assert captured.out == ""
+
+
+def test_scale_handles_spans_beyond_float_range(tmp_path, capsys):
+    # hi - lo overflows to inf here; both values are finite and scale to 0 and 1
+    path = write(tmp_path, "t.csv", "a,b\n-1e308,1\n1e308,3\n")
+    argv = ["cluster", "--input", path, "--mode", "numeric", "--d", "10", "--m", "1",
+            "--gamma", "1", "--scale"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["n"] == 2
 
 
 # --- exit codes on arbitrary allocation text ---------------------------------------

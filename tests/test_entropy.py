@@ -3,16 +3,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
-from gea.allocation import Block, FeatureAllocation, from_multiset
+from gea.allocation import Block, FeatureAllocation, parse_allocation_text
 from gea.entropy import (
     EmptyProjectionWarning,
     generalized_entropy,
     generalized_entropy_cod,
-    gpei,
+    information_sum,
     subset_entropy,
 )
 
@@ -20,33 +21,27 @@ from helpers import random_integer_allocation, simpson
 
 
 def fixture_f():
-    return from_multiset([[1, 3, 6, 7], [2], [4, 5], [5]], n=7)
+    return parse_allocation_text("n=7 r=1.0\n1 3 6 7\n2\n4 5\n5\n")
 
 
-# --- gpei -------------------------------------------------------------------
+def one_block(size, n, r):
+    # the kernel's term for one block, in fixed-point units as gea() passes them
+    return information_sum(np.array([fp.from_number(size)]), n * fp.from_number(r))
 
 
-def test_gpei_closed_form():
-    # log(n*r/|B|); frozen by hand evaluation
-    assert gpei(3.8, 7, 2.0) == pytest.approx(1.3040562628829186, abs=1e-12)
-    assert gpei(7, 7, 1) == 0.0
-    assert gpei(2.0, 1, 1) == pytest.approx(-math.log(2), abs=1e-12)
-    assert gpei(Fraction(19, 5), 7, Fraction(2)) == pytest.approx(1.3040562628829186, abs=1e-12)
+# --- per-block term -------------------------------------------------------------
 
 
-def test_gpei_matches_quadrature_spot():
-    val = gpei(3.8, 7, 2.0)
-    integral = simpson(lambda s: 1 / s, 3.8, 14.0, 10_000)
-    assert val == pytest.approx(integral, rel=1e-9)
+def test_information_sum_closed_form():
+    # (|B|/(n*r)) * log(n*r/|B|); the log frozen by hand evaluation
+    assert one_block(3.8, 7, 2) == pytest.approx(3.8 / 14 * 1.3040562628829186, abs=1e-12)
+    assert one_block(7, 7, 1) == 0.0
+    assert one_block(2, 1, 1) == pytest.approx(-2 * math.log(2), abs=1e-12)
 
 
-def test_gpei_validates():
-    with pytest.raises(ValueError):
-        gpei(0, 5)
-    with pytest.raises(ValueError):
-        gpei(1.0, 0)
-    with pytest.raises(ValueError):
-        gpei(1.0, 5, 0)
+def test_information_sum_matches_quadrature_spot():
+    integral = simpson(lambda t: 1 / t, 3.8, 14.0, 10_000)
+    assert one_block(3.8, 7, 2) == pytest.approx(3.8 / 14 * integral, rel=1e-9)
 
 
 # --- block-sum form ------------------------------------------------------------
@@ -90,14 +85,14 @@ def test_cod_form_matches_on_reference_example():
 
 
 def test_cod_form_trivials():
-    full = from_multiset([[1, 2, 3]], n=3)
+    full = parse_allocation_text("n=3 r=1.0\n1 2 3\n")
     assert generalized_entropy_cod(full) == 0.0
     assert generalized_entropy_cod(FeatureAllocation(3, ())) == 0.0
 
 
 def test_cod_form_handles_sizes_beyond_n():
     # one element with multiplicity 3: block size 3 > n=1
-    g = from_multiset([[1, 1, 1]], n=1)
+    g = parse_allocation_text("n=1 r=1.0\n1 1 1\n")
     assert generalized_entropy_cod(g) == pytest.approx(
         generalized_entropy(g), abs=1e-12
     )
@@ -166,8 +161,8 @@ def test_scaling_weights_and_r_together_preserves_entropy(seed, factor):
 
 
 def test_multiset_embedding_is_bitwise_consistent():
-    ms = [[1, 3, 3, 6, 7], [2], [4, 5, 5, 5]]
-    via_multiset = from_multiset(ms, n=7)
+    # repeated bare tokens fold into the integer weights from_weights is given
+    via_multiset = parse_allocation_text("n=7 r=1.0\n1 3 3 6 7\n2\n4 5 5 5\n")
     explicit = FeatureAllocation.from_weights(
         7, [{0: 1, 2: 2, 5: 1, 6: 1}, {1: 1}, {3: 1, 4: 3}], r=1
     )
