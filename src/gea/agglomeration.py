@@ -9,10 +9,9 @@ in reverse merge order rather than by thresholding heights.
 The engine keeps every live cluster in a slot: a row of an n-by-blocks
 mass matrix and a row and column of an n-by-n matrix of candidate union
 entropies. A merge keeps the union in the lower of its two slots, retires
-the other by filling its row and column with inf, and re-evaluates only the
-kept slot's row, so a full run costs O(n) entropy evaluations per merge.
-Because one evaluation is a vector sum over the per-block masses, it never
-re-projects the whole allocation.
+the other by filling its row and column with inf, and refills only the kept
+slot's row. Every row fill makes one kernel call per batch of other slots
+holding at most BATCH_ENTRIES summed masses; none re-projects the allocation.
 """
 from __future__ import annotations
 
@@ -30,6 +29,8 @@ from .entropy import information_sum
 # Candidate heights within this absolute gap count as tied; ties resolve to
 # the pair whose merged element set is lexicographically least.
 TIE_TOLERANCE = 1e-12
+# Mass entries per kernel call; its temporaries take ~64 bytes per entry.
+BATCH_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     subset's own element count and the allocation's recurrence base. The
     merge with minimal entropy wins; near-exact ties (within
     ``TIE_TOLERANCE``) go to the union whose sorted element ids compare
-    least. Working memory is 8*n**2 bytes of candidate heights plus 8*n*B
-    bytes of per-block mass for B blocks.
+    least. Slot rows are evaluated in bounded batches, so working memory is
+    8*n**2 + 8*n*B bytes (heights; masses of B blocks) + ~64*BATCH_ENTRIES.
     """
     n = g.n
     if n < 1:
@@ -79,38 +80,39 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         return Dendrogram(1, g.r_scaled, ())
 
     r_s = g.r_scaled
-    # slot i: mass row, dendrogram node id, sorted members, heights row/column
+    # slot i: mass row, dendrogram node id, sorted members (() once retired), heights row/column
     mass = np.zeros((n, max(len(g.blocks), 1)), dtype=np.int64)
     for j, b in enumerate(g.blocks):
         for e, w in b.entries.items():
             mass[e, j] = w
     node = list(range(n))
     members = [(i,) for i in range(n)]
-    live = list(range(n))
     # union entropy of slots a < b at [a, b]; inf below the diagonal and
     # in the row and column of every retired slot
     heights = np.full((n, n), np.inf)
-    for a in range(n):
-        for b in range(a + 1, n):
-            heights[a, b] = information_sum(mass[a] + mass[b], 2 * r_s)
 
+    def fill(a, others):
+        # slot a's union entropies with others, BATCH_ENTRIES mass entries per call
+        rows = max(1, BATCH_ENTRIES // mass.shape[1])
+        for i in range(0, len(others), rows):
+            o = others[i : i + rows]
+            counts = [len(members[a]) + len(members[j]) for j in o]
+            h = information_sum(mass[o] + mass[a], counts, r_s)
+            heights[np.minimum(o, a), np.maximum(o, a)] = h
+
+    for a in range(n - 1):
+        fill(a, range(a + 1, n))
     merges = []
     for step in range(n - 1):
         ties = np.argwhere(heights <= heights.min() + TIE_TOLERANCE).tolist()
         a, b = min(ties, key=lambda p: tuple(sorted(members[p[0]] + members[p[1]])))
         mass[a] += mass[b]
-        members[a] = tuple(sorted(members[a] + members[b]))
-        size = len(members[a])
+        members[a], members[b] = tuple(sorted(members[a] + members[b])), ()
         left, right = sorted((node[a], node[b]))
-        merges.append(Merge(left, right, float(heights[a, b]), size))
+        merges.append(Merge(left, right, float(heights[a, b]), len(members[a])))
         node[a] = n + step
-        live.remove(b)
         heights[b, :] = heights[:, b] = np.inf
-        for o in live:
-            if o != a:
-                heights[min(o, a), max(o, a)] = information_sum(
-                    mass[o] + mass[a], (len(members[o]) + size) * r_s
-                )
+        fill(a, [o for o, m in enumerate(members) if m and o != a])
 
     if merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")

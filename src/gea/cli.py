@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -28,16 +29,27 @@ from .categorize import CategorizationParams, NumericDataset, categorize, minmax
 from .entropy import generalized_entropy
 
 
+def _read_text(path) -> str:
+    """A UTF-8 input file's text, a leading byte-order mark skipped. Errors
+    name the file, and for bad UTF-8 the 1-based line of the first bad byte."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # offsets count from after a BOM
+        line = len(exc.object[: exc.start + 1].splitlines())  # \n, \r or \r\n ends a line
+        bad = exc.object[exc.start]
+        raise ValueError(f"{path}: line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
+
+
 def parse_csv(path, label_col: str | None = None) -> NumericDataset:
     """Read a UTF-8 CSV (a leading byte-order mark is skipped) with a header
     row; every column except the optional label column must parse as a
     number. Errors name rows by their line in the file."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1]]
@@ -85,10 +97,7 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
 def parse_allocation(path, r_override: str | None = None) -> FeatureAllocation:
     """Read an allocation text file. ``r_override`` (a decimal string)
     replaces the header's recurrence base, with a warning when they differ."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    text = _read_text(path)
     try:
         g = parse_allocation_text(text)
     except ValueError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,22 +27,22 @@ class EmptyProjectionWarning(UserWarning):
     """A projection wiped out every block; entropy is defined as zero."""
 
 
-def information_sum(sizes: np.ndarray, nr: int) -> float:
-    """Size-weighted information sum over the positive entries of ``sizes``:
-    the sum of (s / nr) * log(nr / s).
+def information_sum(mass: np.ndarray, counts: Sequence[int], r_scaled: int) -> np.ndarray:
+    """Per row i of the k-by-B int64 matrix ``mass`` (fixed-point block sizes,
+    or subsets' per-block masses), the sum of (s / nr) * log(nr / s) over its
+    positive entries s, where the reference mass nr is counts[i] * r_scaled.
 
-    ``sizes`` is an int64 vector of fixed-point block sizes (or per-block
-    masses of a subset) and ``nr`` the reference mass n*r in the same units.
-    Zero entries are blocks a projection discards; a vector without a
-    positive entry sums to zero. This is the one evaluation of the sum that
-    both the entropy functions and the merge engine use, so equal inputs
-    give bit-equal results.
+    Zero entries are blocks a projection discards; a row without a positive
+    entry sums to zero. Terms are added left to right, so a row's sum depends
+    only on its positive entries in order, not on zero columns or other rows.
+    This is the one evaluation of the sum that both the entropy functions and
+    the merge engine use, so equal inputs give bit-equal results.
     """
-    nz = sizes[sizes > 0]
-    if nz.size == 0:
-        return 0.0
-    nr = float(nr)  # n*r may exceed int64 even though n and r fit in it
-    return float(np.sum((nz / nr) * np.log(nr / nz)))
+    nr = np.array([float(int(c) * r_scaled) for c in counts])  # exact int n*r, rounded once
+    rows, cols = np.divmod(np.flatnonzero(mass > 0), mass.shape[1])
+    s, ref = mass[rows, cols], nr[rows]
+    terms = (s / ref) * np.log(ref / s)
+    return np.bincount(rows, terms, len(mass)).astype(float)  # int zeros when no terms
 
 
 def generalized_entropy(g: FeatureAllocation) -> float:
@@ -54,7 +54,7 @@ def generalized_entropy(g: FeatureAllocation) -> float:
     entropy zero.
     """
     sizes = np.fromiter((b.size_scaled for b in g.blocks), np.int64, len(g.blocks))
-    return information_sum(sizes, g.n * g.r_scaled)
+    return float(information_sum(sizes[None], [g.n], g.r_scaled)[0])
 
 
 def generalized_entropy_cod(g: FeatureAllocation) -> float:

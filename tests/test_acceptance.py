@@ -114,12 +114,13 @@ def test_quadrature_check(report):
     for _ in range(100):
         n = rng.randint(1, 20)
         r = rng.choice([0.5, 1.0, 2.0, 3.5])
-        # the kernel gea() evaluates, on a one-block int64 vector in
+        # the kernel gea() evaluates, on a one-row, one-block int64 matrix in
         # fixed-point units: (s/nr) * log(nr/s), and log(nr/s) is the
         # integral of 1/t from s to nr
-        nr = n * fp.from_number(r)
+        r_s = fp.from_number(r)
+        nr = n * r_s
         s = fp.from_number(rng.uniform(1e-3, 2 * n * r))
-        closed = information_sum(np.array([s], dtype=np.int64), nr)
+        (closed,) = information_sum(np.array([[s]], dtype=np.int64), [n], r_s)
         integral = (s / nr) * simpson(lambda t: 1 / t, s, nr, 10_000)
         rel = abs(integral - closed) / max(abs(closed), 1e-12)
         worst = max(worst, rel)

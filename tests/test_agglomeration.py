@@ -10,8 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gea import fixedpoint as fp
+from gea import agglomeration, fixedpoint as fp
 from gea.agglomeration import (
+    BATCH_ENTRIES,
     DENDROGRAM_JSON_SCHEMA,
     ClusterSet,
     Dendrogram,
@@ -25,7 +26,7 @@ from gea.agglomeration import (
 from gea.allocation import Block, FeatureAllocation, parse_allocation_text
 from gea.categorize import CategorizationParams, categorize
 from gea.cli import parse_csv
-from gea.entropy import EmptyProjectionWarning, subset_entropy
+from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
 
 from helpers import engine_members, naive_decision_margin, naive_gea_members, random_allocation
 
@@ -125,6 +126,50 @@ def test_engine_matches_naive_oracle_at_larger_n():
     for _ in range(4):
         g = random_allocation(rng, min_n=30, max_n=40, max_blocks=20)
         assert engine_members(gea(g)) == naive_gea_members(g)
+
+
+def counted_kernel(monkeypatch):
+    """Route gea()'s kernel calls through a wrapper; returns the row count
+    of each call, in call order."""
+    rows = []
+
+    def counting(mass, counts, r_scaled):
+        rows.append(len(mass))
+        return information_sum(mass, counts, r_scaled)
+
+    monkeypatch.setattr(agglomeration, "information_sum", counting)
+    return rows
+
+
+def test_each_slot_row_fill_is_one_kernel_call(monkeypatch):
+    # n * blocks is under BATCH_ENTRIES: n - 1 fills at the start, one per merge
+    rows = counted_kernel(monkeypatch)
+    g = random_allocation(random.Random(41), min_n=40, max_n=40, max_blocks=20)
+    gea(g)
+    assert len(rows) <= 2 * g.n
+
+
+@pytest.mark.parametrize("width, per_call", [(BATCH_ENTRIES + 1, 1), (BATCH_ENTRIES // 3, 3)])
+def test_row_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_call):
+    # one row per call when a row alone exceeds the budget; with 3 rows per
+    # call the fills of 4 and 2 other slots end on a partial batch. Every
+    # pair is evaluated at the start, every live pair again after a merge.
+    rng = random.Random(width)
+    n = 5
+    blocks = tuple(
+        Block({e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(n), rng.randint(1, 2))})
+        for _ in range(width)
+    )
+    g = FeatureAllocation(n, blocks, fp.SCALE)
+    rows = counted_kernel(monkeypatch)
+    d = gea(g)
+    assert max(rows) == per_call
+    assert sum(rows) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
+    members = {i: (i,) for i in range(n)}
+    for t, m in enumerate(d.merges):
+        members[n + t] = members[m.left] + members[m.right]
+        assert m.height == subset_entropy(g, members[n + t])
+    assert engine_members(d) == naive_gea_members(g)
 
 
 def test_block_order_leaves_merges_unchanged_above_margin():

@@ -304,6 +304,27 @@ def test_scale_handles_spans_beyond_float_range(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n"] == 2
 
 
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        (b"n=2 r=1.0\n1 \xff\n", ["entropy"]),
+        (b"n=2 r=1.0\r\n1 \xff\r\n", ["cluster", "--mode", "allocation"]),
+        (b"\xef\xbb\xbfa,b\r\xff,1\r", ["cluster", "--mode", "numeric", "--d", "2", "--m", "1",
+                                      "--gamma", "1"]),
+    ],
+    ids=["entropy", "allocation", "numeric"],
+)
+def test_invalid_utf8_names_file_and_line(tmp_path, capsys, data, argv):
+    # lines end in \n, \r\n or \r and count from the start of the file,
+    # byte-order mark included
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert main([*argv, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: line 2: not valid UTF-8 (byte 0xff)\n"
+    assert captured.out == ""
+
+
 # --- exit codes on arbitrary allocation text ---------------------------------------
 
 WEIGHTS = st.sampled_from([

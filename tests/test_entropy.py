@@ -26,7 +26,8 @@ def fixture_f():
 
 def one_block(size, n, r):
     # the kernel's term for one block, in fixed-point units as gea() passes them
-    return information_sum(np.array([fp.from_number(size)]), n * fp.from_number(r))
+    (h,) = information_sum(np.array([[fp.from_number(size)]]), [n], fp.from_number(r))
+    return h
 
 
 # --- per-block term -------------------------------------------------------------
@@ -42,6 +43,27 @@ def test_information_sum_closed_form():
 def test_information_sum_matches_quadrature_spot():
     integral = simpson(lambda t: 1 / t, 3.8, 14.0, 10_000)
     assert one_block(3.8, 7, 2) == pytest.approx(3.8 / 14 * integral, rel=1e-9)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 5, 40])
+def test_information_sum_rows_ignore_batch_and_zero_columns(blocks):
+    # a row's sum is the same bits alone, in any batch at any position, and
+    # with its zero columns dropped
+    rng = np.random.default_rng(blocks)
+    for k in (1, 2, 7):
+        mass = rng.integers(1, 5 * fp.SCALE, (k, blocks)) * (rng.random((k, blocks)) < 0.5)
+        mass[1:2] = 0  # an all-zero row whenever k > 1
+        counts = rng.integers(1, 30, k).tolist()
+        r_s = int(rng.choice([fp.SCALE // 2, fp.SCALE, 2 * fp.SCALE]))
+        sums = information_sum(mass, counts, r_s)
+        assert sums.dtype == np.float64 and sums.shape == (k,)
+        alone = [information_sum(mass[i : i + 1], counts[i : i + 1], r_s) for i in range(k)]
+        dropped = [information_sum(m[m > 0][None], [c], r_s) for m, c in zip(mass, counts)]
+        perm = rng.permutation(k)
+        shuffled = information_sum(mass[perm], [counts[i] for i in perm], r_s)
+        assert sums.tobytes() == np.concatenate(alone).tobytes()
+        assert sums.tobytes() == np.concatenate(dropped).tobytes()
+        assert sums.tobytes() == shuffled[np.argsort(perm)].tobytes()
 
 
 # --- block-sum form ------------------------------------------------------------
