@@ -8,10 +8,11 @@ in reverse merge order rather than by thresholding heights.
 
 The engine keeps every live cluster in a slot: a row of an n-by-blocks
 mass matrix and a row and column of an n-by-n matrix of candidate union
-entropies. A merge keeps the union in the lower of its two slots, retires
-the other by filling its row and column with inf, and refills only the kept
-slot's row. Every row fill makes one kernel call per batch of other slots
-holding at most BATCH_ENTRIES summed masses; none re-projects the allocation.
+entropies, with each row's minimum and argmin cached. A merge keeps the
+union in the lower of its two slots, retires the other (inf row and
+column) and refills only the kept slot's pairs, one kernel call per batch
+of at most BATCH_ENTRIES summed masses. Only the kept row and the rows whose
+argmin was a merged slot are rescanned; the others compare one new entry.
 """
 from __future__ import annotations
 
@@ -71,7 +72,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     merge with minimal entropy wins; near-exact ties (within
     ``TIE_TOLERANCE``) go to the union whose sorted element ids compare
     least. Slot rows are evaluated in bounded batches, so working memory is
-    8*n**2 + 8*n*B bytes (heights; masses of B blocks) + ~64*BATCH_ENTRIES.
+    8*n**2 + 8*n*B + 32*n bytes (heights; masses of B blocks; per slot its
+    size, reference mass, row minimum and argmin) + ~64*BATCH_ENTRIES.
     """
     n = g.n
     if n < 1:
@@ -79,14 +81,14 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     if n == 1:
         return Dendrogram(1, g.r_scaled, ())
 
-    r_s = g.r_scaled
-    # slot i: mass row, dendrogram node id, sorted members (() once retired), heights row/column
+    # slot i: mass row, size, node id, sorted members (() once retired), heights row/column
     mass = np.zeros((n, max(len(g.blocks), 1)), dtype=np.int64)
     for j, b in enumerate(g.blocks):
         for e, w in b.entries.items():
             mass[e, j] = w
-    node = list(range(n))
-    members = [(i,) for i in range(n)]
+    size = np.ones(n, dtype=np.int64)
+    ref = np.array([float(c * g.r_scaled) for c in range(n + 1)])  # exact int c*r, rounded once
+    node, members = list(range(n)), [(i,) for i in range(n)]
     # union entropy of slots a < b at [a, b]; inf below the diagonal and
     # in the row and column of every retired slot
     heights = np.full((n, n), np.inf)
@@ -96,27 +98,36 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         rows = max(1, BATCH_ENTRIES // mass.shape[1])
         for i in range(0, len(others), rows):
             o = others[i : i + rows]
-            counts = [len(members[a]) + len(members[j]) for j in o]
-            h = information_sum(mass[o] + mass[a], counts, r_s)
+            h = information_sum(mass[o] + mass[a], ref[size[o] + size[a]])
             heights[np.minimum(o, a), np.maximum(o, a)] = h
 
     for a in range(n - 1):
-        fill(a, range(a + 1, n))
+        fill(a, np.arange(a + 1, n))
+    low, near = heights.min(axis=1), heights.argmin(axis=1)  # each row's minimum, its column
     merges = []
     for step in range(n - 1):
-        ties = np.argwhere(heights <= heights.min() + TIE_TOLERANCE).tolist()
+        # rows whose minimum is within the tie band hold every tied pair
+        band = low.min() + TIE_TOLERANCE
+        rows = np.flatnonzero(low <= band).tolist()
+        ties = [(rows[i], j) for i, j in np.argwhere(heights[rows] <= band).tolist()]
         a, b = min(ties, key=lambda p: tuple(sorted(members[p[0]] + members[p[1]])))
         mass[a] += mass[b]
+        size[a], size[b] = size[a] + size[b], 0
         members[a], members[b] = tuple(sorted(members[a] + members[b])), ()
-        left, right = sorted((node[a], node[b]))
-        merges.append(Merge(left, right, float(heights[a, b]), len(members[a])))
+        merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), len(members[a])))
         node[a] = n + step
-        heights[b, :] = heights[:, b] = np.inf
-        fill(a, [o for o, m in enumerate(members) if m and o != a])
+        heights[b, :] = heights[:, b] = low[b] = np.inf
+        fill(a, np.flatnonzero((size > 0) & (np.arange(n) != a)))
+        # rescan row a and the rows whose minimum was in column a or b; other rows compare column a
+        stale = np.append(np.flatnonzero(((near == a) | (near == b)) & (low < np.inf)), a)
+        closer = np.flatnonzero(heights[:a, a] < low[:a])
+        low[closer], near[closer] = heights[closer, a], a
+        near[stale] = heights[stale].argmin(axis=1)
+        low[stale] = heights[stale, near[stale]]
 
     if merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")
-    return Dendrogram(n, r_s, tuple(merges))
+    return Dendrogram(n, g.r_scaled, tuple(merges))
 
 
 def cut(d: Dendrogram, k: int) -> ClusterSet:

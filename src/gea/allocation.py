@@ -216,8 +216,8 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
                 elem = _parse_element(elem_s, tok, lineno, n)
                 try:
                     weight = fp.from_decimal(weight_s)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: malformed token {tok!r}") from None
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: malformed token {tok!r}: {exc}") from None
                 if weight <= 0:
                     raise ValueError(f"line {lineno}: non-positive weight in {tok!r}")
             else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,10 +27,11 @@ class EmptyProjectionWarning(UserWarning):
     """A projection wiped out every block; entropy is defined as zero."""
 
 
-def information_sum(mass: np.ndarray, counts: Sequence[int], r_scaled: int) -> np.ndarray:
+def information_sum(mass: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Per row i of the k-by-B int64 matrix ``mass`` (fixed-point block sizes,
     or subsets' per-block masses), the sum of (s / nr) * log(nr / s) over its
-    positive entries s, where the reference mass nr is counts[i] * r_scaled.
+    positive entries s, where nr = ref[i] is the row's reference mass: the
+    exact integer n * r_scaled as a float, rounded once.
 
     Zero entries are blocks a projection discards; a row without a positive
     entry sums to zero. Terms are added left to right, so a row's sum depends
@@ -38,10 +39,9 @@ def information_sum(mass: np.ndarray, counts: Sequence[int], r_scaled: int) -> n
     This is the one evaluation of the sum that both the entropy functions and
     the merge engine use, so equal inputs give bit-equal results.
     """
-    nr = np.array([float(int(c) * r_scaled) for c in counts])  # exact int n*r, rounded once
     rows, cols = np.divmod(np.flatnonzero(mass > 0), mass.shape[1])
-    s, ref = mass[rows, cols], nr[rows]
-    terms = (s / ref) * np.log(ref / s)
+    s, nr = mass[rows, cols], ref[rows]
+    terms = (s / nr) * np.log(nr / s)
     return np.bincount(rows, terms, len(mass)).astype(float)  # int zeros when no terms
 
 
@@ -54,7 +54,7 @@ def generalized_entropy(g: FeatureAllocation) -> float:
     entropy zero.
     """
     sizes = np.fromiter((b.size_scaled for b in g.blocks), np.int64, len(g.blocks))
-    return float(information_sum(sizes[None], [g.n], g.r_scaled)[0])
+    return float(information_sum(sizes[None], np.array([float(g.n * g.r_scaled)]))[0])
 
 
 def generalized_entropy_cod(g: FeatureAllocation) -> float:

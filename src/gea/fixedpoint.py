@@ -33,11 +33,15 @@ def from_number(value) -> int:
 
 
 def from_decimal(text: str) -> int:
-    """Parse a plain decimal literal ('3.8', '0.5', '2') into scaled units."""
+    """Parse a plain decimal literal ('3.8', '0.5', '2') into scaled units.
+    A positive literal that rounds to 0 is an error: weights and r are > 0."""
     t = text.strip()
     if not _DECIMAL_RE.match(t):
         raise ValueError(f"not a decimal literal: {text!r}")
-    return from_number(Fraction(t))
+    scaled = from_number(Fraction(t))
+    if scaled == 0 and Fraction(t) > 0:
+        raise ValueError(f"{t} rounds to 0 at the 1e-6 resolution")
+    return scaled
 
 
 def to_fraction(scaled: int) -> Fraction:

@@ -7,10 +7,12 @@ as the production engine, so the two implementations share no caching code.
 import math
 import warnings
 
+import numpy as np
+
 from gea import fixedpoint as fp
 from gea.allocation import Block, FeatureAllocation
 from gea.agglomeration import TIE_TOLERANCE, Dendrogram
-from gea.entropy import EmptyProjectionWarning, subset_entropy
+from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
 
 
 def _naive_steps(g: FeatureAllocation):
@@ -39,6 +41,53 @@ def _naive_steps(g: FeatureAllocation):
 def naive_gea_members(g: FeatureAllocation) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The oracle's merge sequence as canonical member tuples."""
     return [merge for _, merge in _naive_steps(g)]
+
+
+def naive_gea_ties(g: FeatureAllocation):
+    """The oracle's merge sequence, as :func:`naive_gea_members` gives it,
+    and per merge the number of candidate pairs within TIE_TOLERANCE of the
+    best (1 when the step has no tie)."""
+    members, tied = [], []
+    for heights, merge in _naive_steps(g):
+        best = min(heights)
+        members.append(merge)
+        tied.append(sum(h <= best + TIE_TOLERANCE for h in heights))
+    return members, tied
+
+
+def full_scan_gea(g: FeatureAllocation) -> list[tuple[int, int, float, int]]:
+    """Reference engine without a row-minimum cache: (left, right, height,
+    size) per merge, with gea()'s node ids, tie rule and kept-lower-slot
+    rule. Every step scans the whole n-by-n matrix of union entropies with
+    argwhere; a merge refills the kept slot's pairs in one unbatched
+    information_sum call. Fast enough for n in the hundreds, where the
+    from-scratch oracle is not."""
+    n, r_s = g.n, g.r_scaled
+    mass = np.zeros((n, max(len(g.blocks), 1)), dtype=np.int64)
+    for j, b in enumerate(g.blocks):
+        for e, w in b.entries.items():
+            mass[e, j] = w
+    node, members = list(range(n)), [(i,) for i in range(n)]
+    heights = np.full((n, n), np.inf)
+
+    def fill(a, others):
+        o = np.array(others, dtype=np.intp)
+        ref = np.array([float((len(members[a]) + len(members[j])) * r_s) for j in others])
+        heights[np.minimum(o, a), np.maximum(o, a)] = information_sum(mass[o] + mass[a], ref)
+
+    for a in range(n - 1):
+        fill(a, list(range(a + 1, n)))
+    merges = []
+    for step in range(n - 1):
+        ties = np.argwhere(heights <= heights.min() + TIE_TOLERANCE).tolist()
+        a, b = min(ties, key=lambda p: tuple(sorted(members[p[0]] + members[p[1]])))
+        mass[a] += mass[b]
+        members[a], members[b] = tuple(sorted(members[a] + members[b])), ()
+        merges.append((*sorted((node[a], node[b])), float(heights[a, b]), len(members[a])))
+        node[a] = n + step
+        heights[b, :] = heights[:, b] = np.inf
+        fill(a, [o for o, m in enumerate(members) if m and o != a])
+    return merges
 
 
 def naive_decision_margin(g: FeatureAllocation) -> float:
@@ -84,10 +133,10 @@ def random_allocation(
 
 
 def random_integer_allocation(rng, max_n: int = 10, max_blocks: int = 10,
-                              max_weight: int = 3) -> FeatureAllocation:
+                              max_weight: int = 3, min_n: int = 1) -> FeatureAllocation:
     """Random allocation whose weights are whole multiples of 1 (integral
     block sizes), as the telescoped entropy form requires."""
-    n = rng.randint(1, max_n)
+    n = rng.randint(min_n, max_n)
     blocks = []
     for _ in range(rng.randint(0, max_blocks)):
         size = rng.randint(1, n)

@@ -28,7 +28,15 @@ from gea.categorize import CategorizationParams, categorize
 from gea.cli import parse_csv
 from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
 
-from helpers import engine_members, naive_decision_margin, naive_gea_members, random_allocation
+from helpers import (
+    engine_members,
+    full_scan_gea,
+    naive_decision_margin,
+    naive_gea_members,
+    naive_gea_ties,
+    random_allocation,
+    random_integer_allocation,
+)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -128,14 +136,53 @@ def test_engine_matches_naive_oracle_at_larger_n():
         assert engine_members(gea(g)) == naive_gea_members(g)
 
 
+def test_engine_matches_naive_oracle_when_most_steps_tie():
+    # 0/1 and small-integer weights make many elements alike, so most steps
+    # have several exactly tied pairs, in different rows of the slot matrix
+    rng = random.Random(77)
+    steps = tied = 0
+    for t in range(16):
+        g = random_integer_allocation(rng, min_n=8, max_n=30, max_blocks=6 if t % 2 else 3,
+                                      max_weight=1 if t % 2 else 2)
+        members, ties = naive_gea_ties(g)
+        assert engine_members(gea(g)) == members
+        steps, tied = steps + len(ties), tied + sum(k > 1 for k in ties)
+    assert tied > steps / 2
+
+
+def test_every_step_ties_when_all_elements_share_their_blocks():
+    # every union has the same per-block ratios, so every candidate height
+    # is the same float and each step is decided by the tie rule alone
+    n = 25
+    g = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), w) for w in (1, 2, 0.3)])
+    members, ties = naive_gea_ties(g)
+    assert ties == [(n - t) * (n - t - 1) // 2 for t in range(n - 1)]
+    d = gea(g)
+    assert engine_members(d) == members
+    assert len({m.height for m in d.merges}) == 1
+
+
+def test_engine_matches_full_scan_reference_at_larger_n():
+    # many merges at sizes the naive oracle is too slow for, so cached row
+    # minima go stale and are rescanned often; heights must be bit-equal
+    rng = random.Random(61)
+    for t in range(6):
+        if t % 2:
+            g = random_integer_allocation(rng, min_n=60, max_n=150, max_blocks=8, max_weight=1)
+        else:
+            g = random_allocation(rng, min_n=60, max_n=150, max_blocks=40)
+        merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
+        assert merges == full_scan_gea(g)
+
+
 def counted_kernel(monkeypatch):
     """Route gea()'s kernel calls through a wrapper; returns the row count
     of each call, in call order."""
     rows = []
 
-    def counting(mass, counts, r_scaled):
+    def counting(mass, ref):
         rows.append(len(mass))
-        return information_sum(mass, counts, r_scaled)
+        return information_sum(mass, ref)
 
     monkeypatch.setattr(agglomeration, "information_sum", counting)
     return rows

@@ -282,6 +282,26 @@ def test_r_option_is_a_positive_decimal_in_every_mode(tmp_path, capsys, r):
     assert main([*numeric, "--r", "2.5"]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, r, where",
+    [
+        ("n=2 r=0.0000004\n1 2\n", None, "line 1: bad recurrence base: 0.0000004"),
+        ("n=2 r=1.0\n1:0.0000004 2\n", None, "line 2: malformed token '1:0.0000004': 0.0000004"),
+        ("n=2 r=1.0\n1 2\n", "0.0000004", "bad --r value: 0.0000004"),
+    ],
+    ids=["header", "weight", "option"],
+)
+def test_value_rounding_to_zero_says_so(tmp_path, capsys, text, r, where):
+    # 4e-7 is positive but 0 at the 1e-6 fixed-point resolution
+    path = write(tmp_path, "a.txt", text)
+    for command in (["cluster", "--mode", "allocation"], ["entropy"]):
+        argv = [*command, "--input", path] + (["--r", r] if r else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{where} rounds to 0 at the 1e-6 resolution" in captured.err
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("text, d", [("a,b\n1e308,1\n2,3\n", "10"),
                                      ("x\n1.0\n2.0\n", str(10**400))],
                          ids=["value-times-d", "huge-d"])

@@ -26,7 +26,7 @@ def fixture_f():
 
 def one_block(size, n, r):
     # the kernel's term for one block, in fixed-point units as gea() passes them
-    (h,) = information_sum(np.array([[fp.from_number(size)]]), [n], fp.from_number(r))
+    (h,) = information_sum(np.array([[fp.from_number(size)]]), np.array([float(n * fp.from_number(r))]))
     return h
 
 
@@ -55,12 +55,13 @@ def test_information_sum_rows_ignore_batch_and_zero_columns(blocks):
         mass[1:2] = 0  # an all-zero row whenever k > 1
         counts = rng.integers(1, 30, k).tolist()
         r_s = int(rng.choice([fp.SCALE // 2, fp.SCALE, 2 * fp.SCALE]))
-        sums = information_sum(mass, counts, r_s)
+        ref = np.array([float(c * r_s) for c in counts])
+        sums = information_sum(mass, ref)
         assert sums.dtype == np.float64 and sums.shape == (k,)
-        alone = [information_sum(mass[i : i + 1], counts[i : i + 1], r_s) for i in range(k)]
-        dropped = [information_sum(m[m > 0][None], [c], r_s) for m, c in zip(mass, counts)]
+        alone = [information_sum(mass[i : i + 1], ref[i : i + 1]) for i in range(k)]
+        dropped = [information_sum(m[m > 0][None], ref[i : i + 1]) for i, m in enumerate(mass)]
         perm = rng.permutation(k)
-        shuffled = information_sum(mass[perm], [counts[i] for i in perm], r_s)
+        shuffled = information_sum(mass[perm], ref[perm])
         assert sums.tobytes() == np.concatenate(alone).tobytes()
         assert sums.tobytes() == np.concatenate(dropped).tobytes()
         assert sums.tobytes() == shuffled[np.argsort(perm)].tobytes()
