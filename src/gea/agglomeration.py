@@ -7,12 +7,13 @@ not monotone across merges, so flat clusters are produced by undoing merges
 in reverse merge order rather than by thresholding heights.
 
 The engine keeps every live cluster in a slot: a row of an n-by-blocks
-mass matrix and a row and column of an n-by-n matrix of candidate union
-entropies, with each row's minimum and argmin cached. A merge keeps the
-union in the lower of its two slots, retires the other (inf row and
-column) and refills only the kept slot's pairs, one kernel call per batch
-of at most BATCH_ENTRIES summed masses. Only the kept row and the rows whose
-argmin was a merged slot are rescanned; the others compare one new entry.
+mass matrix, scattered in one step from the allocation's CSR arrays, and a
+row and column of an n-by-n matrix of candidate union entropies, with each
+row's minimum and argmin cached. A merge keeps the union in the lower of
+its two slots, retires the other (inf row and column) and refills only the
+kept slot's pairs, one kernel call per batch of at most BATCH_ENTRIES
+summed masses. Only the kept row and the rows whose argmin was a merged
+slot are rescanned; the others compare one new entry.
 """
 from __future__ import annotations
 
@@ -69,11 +70,12 @@ def gea(g: FeatureAllocation) -> Dendrogram:
 
     Every candidate union is scored by its projection entropy with the
     subset's own element count and the allocation's recurrence base. The
-    merge with minimal entropy wins; near-exact ties (within
-    ``TIE_TOLERANCE``) go to the union whose sorted element ids compare
-    least. Slot rows are evaluated in bounded batches, so working memory is
-    8*n**2 + 8*n*B + 32*n bytes (heights; masses of B blocks; per slot its
-    size, reference mass, row minimum and argmin) + ~64*BATCH_ENTRIES.
+    merge with minimal entropy wins; near-exact ties (within ``TIE_TOLERANCE``)
+    go to the union whose sorted element ids compare least. Masses are the
+    allocation's weights placed at (element, block) and slot rows are
+    evaluated in bounded batches, so working memory is 8*n**2 + 8*n*B + 32*n
+    bytes (heights; masses of B blocks; per slot its size, reference mass, row
+    minimum and argmin) + ~64*BATCH_ENTRIES.
     """
     n = g.n
     if n < 1:
@@ -82,10 +84,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         return Dendrogram(1, g.r_scaled, ())
 
     # slot i: mass row, size, node id, sorted members (() once retired), heights row/column
-    mass = np.zeros((n, max(len(g.blocks), 1)), dtype=np.int64)
-    for j, b in enumerate(g.blocks):
-        for e, w in b.entries.items():
-            mass[e, j] = w
+    mass = np.zeros((n, max(len(g.sizes), 1)), dtype=np.int64)
+    mass[g.elems, np.repeat(np.arange(len(g.sizes)), g.indptr[1:] - g.indptr[:-1])] = g.weights
     size = np.ones(n, dtype=np.int64)
     ref = np.array([float(c * g.r_scaled) for c in range(n + 1)])  # exact int c*r, rounded once
     node, members = list(range(n)), [(i,) for i in range(n)]

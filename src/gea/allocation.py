@@ -7,110 +7,151 @@ encode multiset blocks; general weights come from the numeric categorization
 pipeline. Elements are indexed 0..n-1 internally; the text format speaks
 the 1-based convention used in presentation.
 
-All types are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+Blocks are compressed sparse rows of int64 arrays: block i's element ids are
+``elems[indptr[i]:indptr[i + 1]]``, ascending and each once, with their
+fixed-point weights at the same positions of ``weights``. The parser and the
+categorization build the arrays once; everything else reads them as arrays.
+All types are immutable (the arrays are read-only) and all operations are
+pure, so values can be shared freely across threads.
 """
 from __future__ import annotations
 
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from . import fixedpoint as fp
 
 # Upper bound on n, on r and on every block size (the last two in fixed-point
 # units): the entropy kernel and the merge engine hold them in int64.
 _INT64_MAX = 2**63 - 1
+_ARRAYS = ("indptr", "elems", "weights")
 
 
-@dataclass(frozen=True)
-class Block:
-    """A non-empty map from element id to positive occurrence weight.
-
-    ``entries`` holds weights in fixed-point units of 1e-6 (see
-    :mod:`gea.fixedpoint`); use :meth:`from_weights` to build a block from
-    plain numbers. A repeated element folds into one entry by summing its
-    weights, and a weight of zero is never stored: absence encodes zero.
-    """
-
-    entries: Mapping[int, int]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("block must be non-empty")
-        norm = {}
-        for elem in sorted(self.entries):
-            weight = self.entries[elem]
-            if not isinstance(elem, int) or elem < 0:
-                raise ValueError(f"bad element id {elem!r}")
-            if not isinstance(weight, int):
-                raise ValueError(
-                    f"weight for element {elem} must be a fixed-point int, "
-                    f"got {weight!r}; use Block.from_weights for plain numbers"
-                )
-            if weight <= 0:
-                raise ValueError(f"element {elem}: weight must be positive")
-            norm[elem] = weight
-        object.__setattr__(self, "entries", norm)
-
-    @classmethod
-    def from_weights(cls, weights: Mapping[int, object]) -> "Block":
-        """Build from plain weights (int, float, Fraction, decimal string);
-        values are rounded to the nearest 1e-6."""
-        return cls({e: fp.from_number(w) for e, w in weights.items()})
-
-    @cached_property
-    def size_scaled(self) -> int:
-        return sum(self.entries.values())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureAllocation:
     """A multiset of blocks over elements 0..n-1 plus a recurrence base.
 
-    ``blocks`` keeps duplicates and preserves order; ``r_scaled`` is the
-    positive recurrence base in fixed-point units. The recurrence base sets
-    the reference mass ``n*r`` that entropies are measured against. ``n``,
-    ``r_scaled`` and every block size must fit in int64: entropies and merge
-    masses are evaluated from int64 vectors (a subset's mass in a block
-    never exceeds the block's size), and n*r must stay a finite float.
+    The CSR arrays keep duplicate blocks and their order; blocks are non-empty
+    with positive weights, and ``sizes`` holds their exact total weights.
+    ``r_scaled`` is the positive recurrence base in fixed-point units; it sets
+    the reference mass ``n*r`` of the entropies. ``n``, ``r_scaled`` and every
+    block size must fit in int64, the type of every mass the kernel and the
+    engine sum, and n*r must stay a finite float. The constructor checks the
+    arrays and makes them read-only in place.
     """
 
     n: int
-    blocks: tuple[Block, ...]
+    indptr: np.ndarray
+    elems: np.ndarray
+    weights: np.ndarray
     r_scaled: int = fp.SCALE
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 0 <= self.n <= _INT64_MAX:
-            raise ValueError(f"element count must be an int in [0, 2**63), got {self.n!r}")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for i, b in enumerate(self.blocks):
-            top = max(b.entries)
-            if top >= self.n:
-                raise ValueError(f"block references element {top} outside [0, {self.n})")
-            if b.size_scaled > _INT64_MAX:
-                raise ValueError(
-                    f"block {i}: size {fp.format_decimal(b.size_scaled)} exceeds the "
-                    f"largest supported block size {fp.format_decimal(_INT64_MAX)}"
-                )
+        n = self.n
+        if not isinstance(n, int) or not 0 <= n <= _INT64_MAX:
+            raise ValueError(f"element count must be an int in [0, 2**63), got {n!r}")
         if not isinstance(self.r_scaled, int) or not 0 < self.r_scaled <= _INT64_MAX:
             raise ValueError(
                 f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
             )
+        arrays = [np.asarray(getattr(self, k)) for k in _ARRAYS]
+        if any(a.ndim != 1 or a.size and a.dtype.kind != "i" for a in arrays):
+            raise ValueError("indptr, elems and weights must be 1-d arrays of fixed-point ints")
+        indptr, elems, weights = (a.astype(np.int64, copy=False) for a in arrays)
+        steps = indptr[1:] - indptr[:-1]  # entries per block
+        if indptr[:1].tolist() != [0] or steps.min(initial=1) <= 0 or indptr[-1] != len(elems):
+            raise ValueError("indptr must rise from 0 to len(elems), by at least 1 per block")
+        if len(weights) != len(elems):
+            raise ValueError("elems and weights must have the same length")
+        if len(elems) and (elems.min() < 0 or elems.max() >= n):
+            raise ValueError(f"block references an element outside [0, {n})")
+        flat = elems[1:] <= elems[:-1]
+        flat[indptr[1:-1] - 1] = False  # a block's first element follows another block
+        if np.count_nonzero(flat) or weights.min(initial=1) <= 0:
+            raise ValueError("a block's elements must ascend, each once, with positive weights")
+        sizes = _block_sizes(indptr, weights, {})
+        for k, a in zip((*_ARRAYS, "sizes"), (indptr, elems, weights, sizes)):
+            a.flags.writeable = False
+            object.__setattr__(self, k, a)
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureAllocation):
+            return NotImplemented
+        return (self.n, self.r_scaled) == (other.n, other.r_scaled) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS
+        )
+
+    @cached_property
+    def blocks(self) -> tuple[SimpleNamespace, ...]:
+        """Per block, ``entries``: a read-only map of element id to weight,
+        built from the arrays on first use; for inspection, not for hot paths."""
+        el, w, ptr = self.elems.tolist(), self.weights.tolist(), self.indptr.tolist()
+        return tuple(
+            SimpleNamespace(entries=MappingProxyType(dict(zip(el[lo:hi], w[lo:hi]))))
+            for lo, hi in zip(ptr, ptr[1:])
+        )
 
     @classmethod
-    def from_weights(
-        cls,
-        n: int,
-        block_weights: Iterable[Mapping[int, object]],
-        r=1,
-    ) -> "FeatureAllocation":
-        """Build from plain-number weight maps and a plain recurrence base."""
-        blocks = tuple(Block.from_weights(m) for m in block_weights)
-        return cls(n, blocks, fp.from_number(r))
+    def from_weights(cls, n: int, block_weights: Iterable[Mapping[int, object]], r=1):
+        """Build from maps of element id to plain weight (int, float, Fraction
+        or decimal string, rounded to the nearest 1e-6) and a plain r."""
+        from array import array  # not at module level: `import gea.cli` loads no more modules
+
+        starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
+        for i, m in enumerate(block_weights):
+            if not m:
+                raise ValueError(f"block {i} must be non-empty")
+            for e, x in m.items():
+                if (w := fp.from_number(x)) <= 0:
+                    raise ValueError(f"block {i}, element {e}: weight must be positive")
+                elems.append(e)
+                weights.append(min(w, _INT64_MAX))
+                if w > _INT64_MAX:
+                    excess[i] += w - _INT64_MAX
+            starts.append(len(elems))
+        return _from_tokens(n, starts, elems, weights, excess, fp.from_number(r))
+
+
+def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.ndarray:
+    """Each block's size as int64, or ValueError naming the first that is
+    beyond int64 once ``excess[i]`` units missing from ``weights`` are added
+    to block i. The 32-bit halves of the weights are summed apart: no wrap."""
+    hi, lo = (np.add.reduceat(half, indptr[:-1]) for half in np.divmod(weights, 2**32))
+    over = hi + (lo >> 32) >= 2**31
+    if excess:
+        over[list(excess)] = True
+    if len(bad := np.flatnonzero(over)):
+        i = int(bad[0])
+        size = int(hi[i]) * 2**32 + int(lo[i]) + excess.get(i, 0)
+        raise ValueError(
+            f"block {i}: size {fp.format_decimal(size)} exceeds the "
+            f"largest supported block size {fp.format_decimal(_INT64_MAX)}"
+        )
+    return hi * 2**32 + lo
+
+
+def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocation:
+    """The allocation whose block i is the non-empty run of (element, weight)
+    tokens from ``starts[i]`` to ``starts[i + 1]`` of int64 buffers. Repeated
+    elements fold by summing, exactly, as block sizes are checked first."""
+    starts, el, w = (np.frombuffer(a, dtype=np.int64) for a in (starts, elems, weights))
+    _block_sizes(starts, w, excess)
+    blk = np.repeat(np.arange(len(starts) - 1), starts[1:] - starts[:-1])
+    order = np.lexsort((el, blk))  # by block, then element
+    el, w, blk = el[order], w[order], blk[order]
+    new = np.ones(len(el), dtype=bool)
+    new[1:] = (el[1:] != el[:-1]) | (blk[1:] != blk[:-1])
+    first = np.flatnonzero(new)
+    indptr = np.append(0, np.cumsum(np.bincount(blk[first], minlength=len(starts) - 1)))
+    return FeatureAllocation(n, indptr, el[first], np.add.reduceat(w, first), r_scaled)
 
 
 def project(g: FeatureAllocation, subset: Iterable[int]) -> FeatureAllocation:
@@ -126,13 +167,12 @@ def project(g: FeatureAllocation, subset: Iterable[int]) -> FeatureAllocation:
         raise ValueError("subset must be non-empty")
     if keep[0] < 0 or keep[-1] >= g.n:
         raise ValueError(f"subset must lie inside [0, {g.n})")
-    remap = {e: i for i, e in enumerate(keep)}
-    new_blocks = []
-    for b in g.blocks:
-        restricted = {remap[e]: w for e, w in b.entries.items() if e in remap}
-        if restricted:
-            new_blocks.append(Block(restricted))
-    return FeatureAllocation(len(keep), tuple(new_blocks), g.r_scaled)
+    keep = np.array(keep, dtype=np.int64)
+    pos = np.searchsorted(keep, g.elems)  # the new id of every kept entry
+    hit = keep[np.minimum(pos, len(keep) - 1)] == g.elems
+    ptr = np.append(0, np.cumsum(hit))[g.indptr]  # kept entries before each block's end
+    indptr = np.append(0, ptr[1:][ptr[1:] > ptr[:-1]])
+    return FeatureAllocation(len(keep), indptr, pos[hit], g.weights[hit], g.r_scaled)
 
 
 @dataclass(frozen=True)
@@ -157,23 +197,11 @@ def cod(g: FeatureAllocation) -> COD:
     Only defined for allocations whose block sizes are all integers (the
     count of "blocks of size at least k" is not meaningful otherwise).
     """
-    sizes = []
-    for i, b in enumerate(g.blocks):
-        if not fp.is_integral(b.size_scaled):
-            raise ValueError(
-                f"block {i} has non-integer size {fp.format_decimal(b.size_scaled)}"
-            )
-        sizes.append(b.size_scaled // fp.SCALE)
-    if not sizes:
-        return COD(())
-    hist = Counter(sizes)
-    kmax = max(sizes)
-    counts = []
-    running = len(sizes)
-    for k in range(1, kmax + 1):
-        counts.append(running)
-        running -= hist.get(k, 0)
-    return COD(tuple(counts))
+    if len(odd := np.flatnonzero(~fp.is_integral(g.sizes))):
+        i = int(odd[0])
+        raise ValueError(f"block {i} has non-integer size {fp.format_decimal(int(g.sizes[i]))}")
+    k = np.sort(g.sizes // fp.SCALE)  # counts[k-1]: blocks of size >= k
+    return COD(tuple((len(k) - np.searchsorted(k, np.arange(1, k.max(initial=0) + 1))).tolist()))
 
 
 # --- text format ---------------------------------------------------------
@@ -190,9 +218,10 @@ _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
 def parse_allocation_text(text: str) -> FeatureAllocation:
     """Parse the allocation text format. Raises ValueError with a line number
     on malformed input."""
-    n = None
-    r_scaled = None
-    blocks = []
+    from array import array  # not at module level: `import gea.cli` loads no more modules
+
+    n = r_scaled = None
+    starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -202,6 +231,8 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
             if not m:
                 raise ValueError(f"line {lineno}: expected header 'n=<int> r=<decimal>'")
             n = int(m.group(1))
+            if n > _INT64_MAX:  # elements go to int64 buffers
+                raise ValueError(f"element count must be an int in [0, 2**63), got {n!r}")
             try:
                 r_scaled = fp.from_decimal(m.group(2))
             except ValueError as exc:
@@ -209,41 +240,37 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
             if r_scaled <= 0:
                 raise ValueError(f"line {lineno}: recurrence base must be positive")
             continue
-        entries: dict[int, int] = {}
         for tok in line.split():
-            if ":" in tok:
-                elem_s, _, weight_s = tok.partition(":")
-                elem = _parse_element(elem_s, tok, lineno, n)
+            elem_s, colon, weight_s = tok.partition(":")
+            if not elem_s.isdecimal():
+                raise ValueError(f"line {lineno}: malformed token {tok!r}")
+            if not 1 <= (elem := int(elem_s)) <= n:
+                raise ValueError(f"line {lineno}: element {elem} outside 1..{n}")
+            weight = fp.SCALE
+            if colon:
                 try:
                     weight = fp.from_decimal(weight_s)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: malformed token {tok!r}: {exc}") from None
                 if weight <= 0:
                     raise ValueError(f"line {lineno}: non-positive weight in {tok!r}")
-            else:
-                elem = _parse_element(tok, tok, lineno, n)
-                weight = fp.SCALE
-            entries[elem - 1] = entries.get(elem - 1, 0) + weight
-        blocks.append(Block(entries))
+            elems.append(elem - 1)
+            try:
+                weights.append(weight)
+            except OverflowError:  # so is its block's size, reported once all lines parse
+                weights.append(_INT64_MAX)
+                excess[len(starts) - 1] += weight - _INT64_MAX
+        starts.append(len(elems))
     if n is None:
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
-    return FeatureAllocation(n, tuple(blocks), r_scaled)
-
-
-def _parse_element(text: str, tok: str, lineno: int, n: int) -> int:
-    if not text.isdecimal():
-        raise ValueError(f"line {lineno}: malformed token {tok!r}")
-    elem = int(text)
-    if not 1 <= elem <= n:
-        raise ValueError(f"line {lineno}: element {elem} outside 1..{n}")
-    return elem
+    return _from_tokens(n, starts, elems, weights, excess, r_scaled)
 
 
 def format_allocation_text(g: FeatureAllocation) -> str:
     """Serialize to the text format; parse_allocation_text round-trips it."""
-    lines = [f"n={g.n} r={fp.format_decimal(g.r_scaled)}"]
-    for b in g.blocks:
-        lines.append(
-            " ".join(f"{e + 1}:{fp.format_decimal(w)}" for e, w in b.entries.items())
-        )
+    el, w, ptr = g.elems.tolist(), g.weights.tolist(), g.indptr.tolist()
+    lines = [f"n={g.n} r={fp.format_decimal(g.r_scaled)}"] + [
+        " ".join(f"{e + 1}:{fp.format_decimal(x)}" for e, x in zip(el[lo:hi], w[lo:hi]))
+        for lo, hi in zip(ptr, ptr[1:])
+    ]
     return "\n".join(lines) + "\n"

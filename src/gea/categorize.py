@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import fixedpoint as fp
-from .allocation import Block, FeatureAllocation
+from .allocation import FeatureAllocation
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,11 @@ def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAlloc
                     continue
                 entries = cats.setdefault(g0 + mu, {})
                 entries[e] = entries.get(e, 0) + w
-    blocks = tuple(Block(cats[key]) for key in sorted(cats))
-    return FeatureAllocation(ds.n, blocks, fp.from_number(params.r))
+    blocks = [cats[key] for key in sorted(cats)]  # a block's rows arrive ascending
+    elems = np.fromiter((e for b in blocks for e in b), np.int64)
+    weights = np.fromiter((w for b in blocks for w in b.values()), np.int64)
+    indptr = np.cumsum([0, *map(len, blocks)])
+    return FeatureAllocation(ds.n, indptr, elems, weights, fp.from_number(params.r))
 
 
 def _snap(y: float) -> int:

@@ -106,7 +106,7 @@ def parse_allocation(path, r_override: str | None = None) -> FeatureAllocation:
         r_s = _parse_r(r_override)
         if r_s != g.r_scaled:
             header_r = fp.format_decimal(g.r_scaled)
-            g = FeatureAllocation(g.n, g.blocks, r_s)
+            g = FeatureAllocation(g.n, g.indptr, g.elems, g.weights, r_s)
             print(
                 f"warning: --r {fp.format_decimal(r_s)} overrides header r={header_r}",
                 file=sys.stderr,
@@ -161,7 +161,7 @@ def _execute(args: argparse.Namespace) -> None:
 
     runtime = time.perf_counter() - t0
     summary = (
-        f"n={g.n} blocks={len(g.blocks)} r={fp.format_decimal(g.r_scaled)} "
+        f"n={g.n} blocks={len(g.indptr) - 1} r={fp.format_decimal(g.r_scaled)} "
         f"runtime={runtime:.2f}s"
     )
     if scored:

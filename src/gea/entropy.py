@@ -53,8 +53,7 @@ def generalized_entropy(g: FeatureAllocation) -> float:
     shared 1e-6 scale cancels inside each ratio. An empty allocation has
     entropy zero.
     """
-    sizes = np.fromiter((b.size_scaled for b in g.blocks), np.int64, len(g.blocks))
-    return float(information_sum(sizes[None], np.array([float(g.n * g.r_scaled)]))[0])
+    return float(information_sum(g.sizes[None], np.array([float(g.n * g.r_scaled)]))[0])
 
 
 def generalized_entropy_cod(g: FeatureAllocation) -> float:
@@ -87,7 +86,7 @@ def subset_entropy(g: FeatureAllocation, subset: Iterable[int]) -> float:
     defined as zero and an :class:`EmptyProjectionWarning` is emitted.
     """
     sub = project(g, subset)
-    if not sub.blocks:
+    if not len(sub.sizes):
         warnings.warn(
             "subset intersects no block; entropy defined as 0",
             EmptyProjectionWarning,

@@ -33,15 +33,18 @@ def from_number(value) -> int:
 
 
 def from_decimal(text: str) -> int:
-    """Parse a plain decimal literal ('3.8', '0.5', '2') into scaled units.
-    A positive literal that rounds to 0 is an error: weights and r are > 0."""
+    """Parse a plain decimal literal ('3.8', '.5', '2') into scaled units with
+    integers only, rounding half away from zero at the seventh decimal. A
+    positive literal that rounds to 0 is an error: weights and r are > 0."""
     t = text.strip()
     if not _DECIMAL_RE.match(t):
         raise ValueError(f"not a decimal literal: {text!r}")
-    scaled = from_number(Fraction(t))
-    if scaled == 0 and Fraction(t) > 0:
+    whole, _, frac = t.lstrip("+-").partition(".")
+    half_up = len(frac) > 6 and int(frac[6]) >= 5  # int() reads any Unicode digit
+    scaled = int(whole or "0") * SCALE + int((frac + "00000")[:6]) + half_up
+    if scaled == 0 and t[0] != "-" and any(map(int, frac)):
         raise ValueError(f"{t} rounds to 0 at the 1e-6 resolution")
-    return scaled
+    return -scaled if t[0] == "-" else scaled
 
 
 def to_fraction(scaled: int) -> Fraction:

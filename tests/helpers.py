@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from gea import fixedpoint as fp
-from gea.allocation import Block, FeatureAllocation
+from gea.allocation import FeatureAllocation
 from gea.agglomeration import TIE_TOLERANCE, Dendrogram
 from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
 
@@ -112,6 +112,16 @@ def engine_members(d: Dendrogram) -> list[tuple[tuple[int, ...], tuple[int, ...]
     return seq
 
 
+def scaled_allocation(n: int, blocks, r_scaled: int = fp.SCALE) -> FeatureAllocation:
+    """An allocation from maps of element id to weight in fixed-point units,
+    built exactly through :meth:`FeatureAllocation.from_weights`."""
+    return FeatureAllocation.from_weights(
+        n,
+        [{e: fp.to_fraction(w) for e, w in b.items()} for b in blocks],
+        fp.to_fraction(r_scaled),
+    )
+
+
 def random_allocation(
     rng,
     max_n: int = 12,
@@ -127,9 +137,9 @@ def random_allocation(
         size = rng.randint(1, n)
         elems = rng.sample(range(n), size)
         entries = {e: rng.randint(1, int(max_weight * fp.SCALE)) for e in elems}
-        blocks.append(Block(entries))
+        blocks.append(entries)
     r = rng.choice(r_choices)
-    return FeatureAllocation(n, tuple(blocks), fp.from_number(r))
+    return scaled_allocation(n, blocks, fp.from_number(r))
 
 
 def random_integer_allocation(rng, max_n: int = 10, max_blocks: int = 10,
@@ -142,8 +152,8 @@ def random_integer_allocation(rng, max_n: int = 10, max_blocks: int = 10,
         size = rng.randint(1, n)
         elems = rng.sample(range(n), size)
         entries = {e: rng.randint(1, max_weight) * fp.SCALE for e in elems}
-        blocks.append(Block(entries))
-    return FeatureAllocation(n, tuple(blocks), fp.SCALE)
+        blocks.append(entries)
+    return scaled_allocation(n, blocks)
 
 
 def simpson(f, a: float, b: float, intervals: int) -> float:

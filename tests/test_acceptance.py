@@ -17,7 +17,7 @@ import pytest
 
 from gea import fixedpoint as fp
 from gea.agglomeration import cut, gea, score_accuracy
-from gea.allocation import Block, FeatureAllocation
+from gea.allocation import FeatureAllocation
 from gea.categorize import CategorizationParams, NumericDataset, categorize
 from gea.cli import parse_csv
 from gea.entropy import generalized_entropy, generalized_entropy_cod, information_sum
@@ -27,6 +27,7 @@ from helpers import (
     naive_gea_members,
     random_allocation,
     random_integer_allocation,
+    scaled_allocation,
     simpson,
 )
 
@@ -64,8 +65,8 @@ def test_zero_entropy_suite(report):
     for _ in range(200):
         n = rng.randint(1, 20)
         r_scaled = fp.from_number(rng.choice([0.5, 1, 2]))
-        block = Block({e: r_scaled for e in range(n)})
-        g = FeatureAllocation(n, tuple([block] * rng.randint(1, 6)), r_scaled)
+        block = {e: r_scaled for e in range(n)}
+        g = scaled_allocation(n, [block] * rng.randint(1, 6), r_scaled)
         worst = max(worst, abs(generalized_entropy(g)))
     ok = worst <= 1e-12
     report("zero-entropy-suite", ok, f"200 cases, max |H| = {worst:.3g} (tol 1e-12)")
@@ -81,8 +82,8 @@ def test_nonnegativity_suite(report):
         blocks = []
         for _ in range(rng.randint(1, 8)):
             elems = rng.sample(range(n), rng.randint(1, n))
-            blocks.append(Block({e: rng.randint(1, r_scaled) for e in elems}))
-        worst = min(worst, generalized_entropy(FeatureAllocation(n, tuple(blocks), r_scaled)))
+            blocks.append({e: rng.randint(1, r_scaled) for e in elems})
+        worst = min(worst, generalized_entropy(scaled_allocation(n, blocks, r_scaled)))
     ok = worst >= -1e-12
     report("non-negativity-suite", ok, f"1000 cases, min H = {worst:.3g} (tol -1e-12)")
     assert ok

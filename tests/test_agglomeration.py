@@ -23,7 +23,7 @@ from gea.agglomeration import (
     to_json,
     to_newick,
 )
-from gea.allocation import Block, FeatureAllocation, parse_allocation_text
+from gea.allocation import FeatureAllocation, parse_allocation_text
 from gea.categorize import CategorizationParams, categorize
 from gea.cli import parse_csv
 from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
@@ -36,6 +36,7 @@ from helpers import (
     naive_gea_ties,
     random_allocation,
     random_integer_allocation,
+    scaled_allocation,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -57,7 +58,7 @@ def test_single_element_has_no_merges():
 
 def test_empty_universe_rejected():
     with pytest.raises(ValueError):
-        gea(FeatureAllocation(0, ()))
+        gea(FeatureAllocation.from_weights(0, []))
 
 
 def test_two_singleton_blocks_merge_at_log2():
@@ -203,11 +204,11 @@ def test_row_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_call)
     # pair is evaluated at the start, every live pair again after a merge.
     rng = random.Random(width)
     n = 5
-    blocks = tuple(
-        Block({e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(n), rng.randint(1, 2))})
+    blocks = [
+        {e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(n), rng.randint(1, 2))}
         for _ in range(width)
-    )
-    g = FeatureAllocation(n, blocks, fp.SCALE)
+    ]
+    g = scaled_allocation(n, blocks)
     rows = counted_kernel(monkeypatch)
     d = gea(g)
     assert max(rows) == per_call
@@ -228,9 +229,9 @@ def test_block_order_leaves_merges_unchanged_above_margin():
         g = random_allocation(rng, min_n=3, max_n=10, max_blocks=30)
         if naive_decision_margin(g) <= 1e-9:
             continue
-        blocks = list(g.blocks)
+        blocks = [b.entries for b in g.blocks]
         shuffler.shuffle(blocks)
-        shuffled = FeatureAllocation(g.n, tuple(blocks), g.r_scaled)
+        shuffled = scaled_allocation(g.n, blocks, g.r_scaled)
         assert engine_members(gea(shuffled)) == engine_members(gea(g))
         checked += 1
     assert checked >= 150
@@ -257,10 +258,8 @@ def test_permutation_equivariance_without_ties():
 
     perm = list(range(n))
     rng.shuffle(perm)  # perm[old] = new
-    permuted = FeatureAllocation(
-        n,
-        tuple(Block({perm[e]: w for e, w in b.entries.items()}) for b in g.blocks),
-        g.r_scaled,
+    permuted = scaled_allocation(
+        n, [{perm[e]: w for e, w in b.entries.items()} for b in g.blocks], g.r_scaled
     )
     inv = {new: old for old, new in enumerate(perm)}
     got = [

@@ -1,12 +1,12 @@
-"""Blocks, feature allocations, projection, size tallies, text format."""
+"""Feature allocations and their CSR arrays, projection, size tallies, text format."""
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
 from gea.allocation import (
-    Block,
     FeatureAllocation,
     cod,
     format_allocation_text,
@@ -17,42 +17,56 @@ from gea.allocation import (
 from helpers import random_allocation
 
 
-# --- Block ----------------------------------------------------------------
+# --- blocks as arrays ---------------------------------------------------------
 
 
 def test_block_size_sums_weights_exactly():
-    b = Block.from_weights({0: 1.0, 2: 2.0, 5: 0.5, 6: 0.3})
-    assert b.size_scaled == 3_800_000  # 3.8 exactly
-    assert fp.format_decimal(b.size_scaled) == "3.8"
+    g = FeatureAllocation.from_weights(7, [{0: 1.0, 2: 2.0, 5: 0.5, 6: 0.3}])
+    assert g.sizes.tolist() == [3_800_000]  # 3.8 exactly
+    assert fp.format_decimal(int(g.sizes[0])) == "3.8"
 
 
 def test_block_entries_sorted_and_validated():
-    b = Block({5: fp.SCALE, 1: 2 * fp.SCALE})
-    assert tuple(b.entries) == (1, 5)
-    with pytest.raises(ValueError):
-        Block({})
-    with pytest.raises(ValueError):
-        Block({0: 0})
-    with pytest.raises(ValueError):
-        Block({0: -fp.SCALE})
-    with pytest.raises(ValueError):
-        Block({-1: fp.SCALE})
-    with pytest.raises(ValueError):
-        Block({0: 1.5})  # plain numbers must go through from_weights
+    g = FeatureAllocation.from_weights(6, [{5: 1, 1: 2}])
+    assert g.indptr.tolist() == [0, 2]
+    assert g.elems.tolist() == [1, 5] and g.weights.tolist() == [2 * fp.SCALE, fp.SCALE]
+    assert tuple(g.blocks[0].entries) == (1, 5)
+    for arr in (g.indptr, g.elems, g.weights, g.sizes):
+        with pytest.raises(ValueError):  # read-only
+            arr[0] = 1
+    for bad in ({}, {0: 0}, {0: -1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            FeatureAllocation.from_weights(6, [bad])
+    # the constructor checks arrays it is given the same way
+    assert FeatureAllocation(6, [0, 2], [1, 5], [2 * fp.SCALE, fp.SCALE]) == g
+    one = fp.SCALE
+    for indptr, elems, weights in [
+        ([0, 0], [], []),  # an empty block
+        ([1, 1], [0], [one]),
+        ([0, 1], [0, 1], [one, one]),  # entries past the last block
+        ([0, 1], [0], [0]),
+        ([0, 1], [0], [-one]),
+        ([0, 1], [-1], [one]),
+        ([0, 2], [5, 1], [one, one]),  # not ascending
+        ([0, 2], [1, 1], [one, one]),  # a repeat, not folded
+        ([0, 1], [0], [1.5]),  # plain numbers must go through from_weights
+    ]:
+        with pytest.raises(ValueError):
+            FeatureAllocation(6, indptr, elems, weights)
 
 
 # --- FeatureAllocation ------------------------------------------------------
 
 
 def test_allocation_validates_element_range_and_r():
-    b = Block.from_weights({6: 1})
-    FeatureAllocation(7, (b,), fp.SCALE)
+    b = [{6: 1}]
+    FeatureAllocation.from_weights(7, b)
     with pytest.raises(ValueError):
-        FeatureAllocation(6, (b,), fp.SCALE)
+        FeatureAllocation.from_weights(6, b)
     with pytest.raises(ValueError):
-        FeatureAllocation(7, (b,), 0)
+        FeatureAllocation(7, [0, 1], [6], [fp.SCALE], 0)
     with pytest.raises(ValueError):
-        FeatureAllocation(-1, (), fp.SCALE)
+        FeatureAllocation.from_weights(-1, [])
 
 
 def test_allocation_rejects_values_beyond_int64():
@@ -60,16 +74,19 @@ def test_allocation_rejects_values_beyond_int64():
     # is rejected, and a block size over the limit, whether from one weight
     # or summed over several, names the block
     top = 2**63 - 1
-    FeatureAllocation(2, (Block({0: top}),), fp.SCALE)
+    FeatureAllocation(2, [0, 1], [0], [top], fp.SCALE)
     with pytest.raises(ValueError, match="block 1: size"):
-        FeatureAllocation(2, (Block({0: 1}), Block({0: top, 1: 1})), fp.SCALE)
+        FeatureAllocation(2, [0, 1, 3], [0, 0, 1], [1, top, 1], fp.SCALE)
     with pytest.raises(ValueError, match="block 0: size"):
-        FeatureAllocation(1, (Block({0: top + 1}),), fp.SCALE)
-    FeatureAllocation(top, (), top)
+        FeatureAllocation.from_weights(1, [{0: fp.to_fraction(top + 1)}])
+    # five weights of 2**62 units wrap to 2**62 in int64 sums, a valid size
+    with pytest.raises(ValueError, match="block 0: size 23058430092136.93952 exceeds"):
+        FeatureAllocation(5, [0, 5], range(5), [2**62] * 5)
+    FeatureAllocation(top, [0], [], [], top)
     with pytest.raises(ValueError, match="element count"):
-        FeatureAllocation(top + 1, (), fp.SCALE)
+        FeatureAllocation(top + 1, [0], [], [], fp.SCALE)
     with pytest.raises(ValueError, match="recurrence base"):
-        FeatureAllocation(2, (), top + 1)
+        FeatureAllocation(2, [0], [], [], top + 1)
 
 
 def test_allocation_r_is_exact():
@@ -153,7 +170,7 @@ def test_cod_requires_integer_sizes():
 
 
 def test_cod_empty_allocation():
-    assert cod(FeatureAllocation(3, ())).counts == ()
+    assert cod(FeatureAllocation.from_weights(3, [])).counts == ()
 
 
 # --- text format ----------------------------------------------------------------
@@ -232,3 +249,51 @@ def test_blocks_may_repeat_as_a_multiset():
     g = parse_allocation_text("n=2 r=1.0\n1 2\n1 2\n")
     assert len(g.blocks) == 2
     assert g.blocks[0] == g.blocks[1]
+
+
+def random_allocation_text(rng: random.Random) -> tuple[str, list[dict], int, Fraction]:
+    """A seeded allocation text with repeated elements, bare tokens, '+'
+    signs, comments, blank lines, indentation and LF or CRLF endings; also
+    the per-block weight maps it spells (repeats summed exactly), n and r.
+    Weights have at most six decimals, so parsing rounds none of them."""
+    n = rng.randint(1, 25)
+    r = rng.choice(["1.0", "0.5", "+2", "1.25", ".75"])
+    lines = ["# generated", "", f"n={n} r={r}"]
+    maps = []
+    for _ in range(rng.randint(0, 12)):
+        m, toks = {}, []
+        for _ in range(rng.randint(1, 10)):
+            e = rng.randint(1, n)
+            if rng.random() < 0.3:
+                toks.append(str(e))
+                w = Fraction(1)
+            else:
+                units = rng.randint(1, 5_000_000)
+                w = Fraction(units, 1_000_000)
+                whole, frac = divmod(units, 1_000_000)
+                lit = rng.choice([f"{whole}.{frac:06d}", f"{whole}.{frac:06d}".rstrip("0")])
+                lit = lit.rstrip(".") if rng.random() < 0.5 or frac == 0 else lit
+                if whole == 0 and rng.random() < 0.5:
+                    lit = lit[1:] if lit.startswith("0.") else lit
+                toks.append(f"{e}:{rng.choice(['', '+'])}{lit}")
+            m[e - 1] = m.get(e - 1, 0) + w
+        maps.append(m)
+        lines.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t"]).join(toks))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "# a comment", "   "]))
+    text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+    return text, maps, n, Fraction(r)
+
+
+def test_parser_builds_the_arrays_from_weights_builds():
+    rng = random.Random(77)
+    for _ in range(400):
+        text, maps, n, r = random_allocation_text(rng)
+        g = parse_allocation_text(text)
+        expected = FeatureAllocation.from_weights(n, maps, r)
+        assert g == expected
+        for k in ("indptr", "elems", "weights", "sizes"):
+            assert getattr(g, k).tobytes() == getattr(expected, k).tobytes()
+        canonical = format_allocation_text(g)
+        assert parse_allocation_text(canonical) == g
+        assert format_allocation_text(parse_allocation_text(canonical)) == canonical

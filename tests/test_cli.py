@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
 from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
-from gea.allocation import format_allocation_text
+from gea.allocation import FeatureAllocation, format_allocation_text
 from gea.categorize import CategorizationParams, NumericDataset, categorize
 from gea.cli import main, parse_allocation, parse_csv
 
@@ -117,6 +117,8 @@ def test_parse_allocation_r_override_warns(tmp_path, capsys):
     path = write(tmp_path, "a.txt", ALLOC_TEXT)
     g = parse_allocation(path, r_override="1.5")
     assert g.r_scaled == 1_500_000
+    assert g == FeatureAllocation(7, g.indptr, g.elems, g.weights, 1_500_000)
+    assert g.sizes.tolist() == parse_allocation(path).sizes.tolist()
     assert "overrides header" in capsys.readouterr().err
     # same value: no warning
     parse_allocation(path, r_override="2.0")
@@ -148,6 +150,25 @@ def test_cluster_allocation_mode_emits_schema_valid_json(tmp_path):
     jsonschema.validate(doc, DENDROGRAM_JSON_SCHEMA)
     assert doc["n"] == 7 and doc["r"] == "2.0"
     assert "n=7 blocks=4 r=2.0" in out.stderr
+
+
+def test_cli_builds_no_per_block_views(tmp_path, monkeypatch, capsys):
+    # both modes and gea entropy read the arrays only; the stderr summary
+    # counts blocks from indptr
+    def refuse(self):
+        raise AssertionError("a per-block view was built")
+
+    monkeypatch.setattr(FeatureAllocation, "blocks", property(refuse))
+    path = write(tmp_path, "a.txt", ALLOC_TEXT)
+    for argv, summary in [
+        (["cluster", "--input", path, "--mode", "allocation", "--r", "1.5"], "n=7 blocks=4 r=1.5"),
+        (["cluster", "--input", IRIS, "--mode", "numeric", "--d", "10", "--m", "5",
+          "--gamma", "3", "--label-col", "species", "--cut", "3"], "n=150 blocks=89 r=1.0"),
+        (["entropy", "--input", path, "--r", "1.5"], None),
+    ]:
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert summary is None or summary in err
 
 
 def test_cluster_numeric_mode_scores_iris():
@@ -246,23 +267,38 @@ def test_run_returns_0_quietly(tmp_path, capsys):
     assert "error" not in captured.err
 
 
-# one block whose size overflows int64 fixed-point units: summed over two
-# entries (the merge engine once wrapped it to height 0.0), or in one weight
+# one block whose size overflows int64 fixed-point units, with that exact
+# size: summed over two entries (the merge engine once wrapped it to height
+# 0.0), in one weight, over five weights of 2**62 units (an int64 sum wraps
+# to 2**62, a valid size), over one element repeated five times (its folded
+# weight wraps too), and in one weight beyond int64 itself
+QUARTER = "4611686018427.387904"  # 2**62 units
+FIVE_QUARTERS = "23058430092136.93952"  # 5 * 2**62 units
 OVERFLOW_INPUTS = [
-    "n=2 r=1.0\n1:9223372036854 2:9223372036854\n",
-    "n=2 r=1.0\n1:9999999999999 2\n",
+    ("n=2 r=1.0\n1:9223372036854 2:9223372036854\n", "18446744073708.0"),
+    ("n=2 r=1.0\n1:9999999999999 2\n", "10000000000000.0"),
+    ("n=5 r=1.0\n" + " ".join(f"{k}:{QUARTER}" for k in range(1, 6)) + "\n", FIVE_QUARTERS),
+    ("n=5 r=1.0\n" + " ".join([f"3:{QUARTER}"] * 5) + "\n", FIVE_QUARTERS),
+    ("n=2 r=1.0\n1:99999999999999999999999\n", "99999999999999999999999.0"),
 ]
 
 
-@pytest.mark.parametrize("text", OVERFLOW_INPUTS, ids=["summed", "one-weight"])
+@pytest.mark.parametrize(
+    "text,size",
+    OVERFLOW_INPUTS,
+    ids=["summed", "one-weight", "summed-wraps", "folded-wraps", "beyond-int64"],
+)
 @pytest.mark.parametrize(
     "command", [("cluster", "--mode", "allocation"), ("entropy",)], ids=["cluster", "entropy"]
 )
-def test_block_size_overflow_exits_1(tmp_path, capsys, text, command):
+def test_block_size_overflow_exits_1(tmp_path, capsys, text, size, command):
     path = write(tmp_path, "big.txt", text)
     assert main([*command, "--input", path]) == 1
     captured = capsys.readouterr()
-    assert "block 0: size" in captured.err
+    assert captured.err == (
+        f"error: {path}: block 0: size {size} exceeds the largest supported block size "
+        "9223372036854.775807\n"
+    )
     assert captured.out == ""
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
-from gea.allocation import Block, FeatureAllocation, parse_allocation_text
+from gea.allocation import FeatureAllocation, parse_allocation_text
 from gea.entropy import (
     EmptyProjectionWarning,
     generalized_entropy,
@@ -17,7 +17,7 @@ from gea.entropy import (
     subset_entropy,
 )
 
-from helpers import random_integer_allocation, simpson
+from helpers import random_integer_allocation, scaled_allocation, simpson
 
 
 def fixture_f():
@@ -94,7 +94,7 @@ def test_entropy_negative_witness():
 
 
 def test_entropy_empty_allocation():
-    assert generalized_entropy(FeatureAllocation(4, ())) == 0.0
+    assert generalized_entropy(FeatureAllocation.from_weights(4, [])) == 0.0
 
 
 # --- telescoped (size-tally) form ---------------------------------------------
@@ -110,7 +110,7 @@ def test_cod_form_matches_on_reference_example():
 def test_cod_form_trivials():
     full = parse_allocation_text("n=3 r=1.0\n1 2 3\n")
     assert generalized_entropy_cod(full) == 0.0
-    assert generalized_entropy_cod(FeatureAllocation(3, ())) == 0.0
+    assert generalized_entropy_cod(FeatureAllocation.from_weights(3, [])) == 0.0
 
 
 def test_cod_form_handles_sizes_beyond_n():
@@ -147,8 +147,8 @@ def test_case1_full_blocks_at_weight_r_have_zero_entropy(seed, r):
     rng = random.Random(seed)
     n = rng.randint(1, 20)
     r_scaled = fp.from_number(r)
-    block = Block({e: r_scaled for e in range(n)})
-    g = FeatureAllocation(n, tuple([block] * rng.randint(1, 6)), r_scaled)
+    block = {e: r_scaled for e in range(n)}
+    g = scaled_allocation(n, [block] * rng.randint(1, 6), r_scaled)
     assert abs(generalized_entropy(g)) <= 1e-12
 
 
@@ -161,8 +161,8 @@ def test_case2_weights_below_r_give_nonnegative_entropy(seed):
     blocks = []
     for _ in range(rng.randint(1, 8)):
         elems = rng.sample(range(n), rng.randint(1, n))
-        blocks.append(Block({e: rng.randint(1, r_scaled) for e in elems}))
-    g = FeatureAllocation(n, tuple(blocks), r_scaled)
+        blocks.append({e: rng.randint(1, r_scaled) for e in elems})
+    g = scaled_allocation(n, blocks, r_scaled)
     assert generalized_entropy(g) >= -1e-12
 
 
@@ -175,10 +175,8 @@ def test_scaling_weights_and_r_together_preserves_entropy(seed, factor):
     from helpers import random_allocation
 
     g = random_allocation(random.Random(seed))
-    scaled = FeatureAllocation(
-        g.n,
-        tuple(Block({e: w * factor for e, w in b.entries.items()}) for b in g.blocks),
-        g.r_scaled * factor,
+    scaled = scaled_allocation(
+        g.n, [{e: w * factor for e, w in b.entries.items()} for b in g.blocks], g.r_scaled * factor
     )
     assert abs(generalized_entropy(g) - generalized_entropy(scaled)) <= 1e-9
 
