@@ -13,11 +13,19 @@ fixed-point weights at the same positions of ``weights``. The parser and the
 categorization build the arrays once; everything else reads them as arrays.
 All types are immutable (the arrays are read-only) and all operations are
 pure, so values can be shared freely across threads.
+
+The text parser splits lines and tokens with ``str.splitlines`` and
+``str.split``, then converts the tokens with numpy, a bounded chunk at a
+time: one pass over each chunk's bytes checks the token grammar and reads the
+digits. A token it cannot certify (Unicode digits, a field too long for
+int64, a malformed token) takes the scalar check, which converts it exactly
+or raises the error naming its line.
 """
 from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -144,14 +152,22 @@ def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocati
     elements fold by summing, exactly, as block sizes are checked first."""
     starts, el, w = (np.frombuffer(a, dtype=np.int64) for a in (starts, elems, weights))
     _block_sizes(starts, w, excess)
-    blk = np.repeat(np.arange(len(starts) - 1), starts[1:] - starts[:-1])
+    # the fold sets a parse's peak memory: block ids take the narrowest
+    # dtype, and each temporary goes as soon as it is used
+    nblocks = len(starts) - 1
+    blk = np.repeat(np.arange(nblocks, dtype=np.min_scalar_type(nblocks)), starts[1:] - starts[:-1])
     order = np.lexsort((el, blk))  # by block, then element
     el, w, blk = el[order], w[order], blk[order]
+    del order
     new = np.ones(len(el), dtype=bool)
     new[1:] = (el[1:] != el[:-1]) | (blk[1:] != blk[:-1])
     first = np.flatnonzero(new)
-    indptr = np.append(0, np.cumsum(np.bincount(blk[first], minlength=len(starts) - 1)))
-    return FeatureAllocation(n, indptr, el[first], np.add.reduceat(w, first), r_scaled)
+    del new
+    w = np.add.reduceat(w, first)
+    el, blk = el[first], blk[first]
+    del first
+    indptr = np.append(0, np.cumsum(np.bincount(blk, minlength=nblocks)))
+    return FeatureAllocation(n, indptr, el, w, r_scaled)
 
 
 def project(g: FeatureAllocation, subset: Iterable[int]) -> FeatureAllocation:
@@ -213,26 +229,39 @@ def cod(g: FeatureAllocation) -> COD:
 # skipped.
 
 _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
+# Tokens per numpy pass: its per-token int64 temporaries then stay near
+# 1 MiB, so the fold at the end, not the pass, sets the parse's peak memory.
+_CHUNK_TOKENS = 2**12
+# bytes.translate table: keeps the bytes a certified token may hold, others become 0
+_TOKEN_BYTES = bytes(c if chr(c) in "0123456789 :.+" else 0 for c in range(256))
 
 
 def parse_allocation_text(text: str) -> FeatureAllocation:
     """Parse the allocation text format. Raises ValueError with a line number
-    on malformed input."""
+    on malformed input.
+
+    Python splits lines and tokens; numpy converts the tokens in bounded
+    chunks and hands each token it cannot certify to the scalar check.
+    """
     from array import array  # not at module level: `import gea.cli` loads no more modules
 
     n = r_scaled = None
     starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
+    linenos, toks = array("q"), []  # each block's line; tokens not yet converted
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split()
+        if not line or line[0][0] == "#":
             continue
         if n is None:
-            m = _HEADER_RE.match(line)
+            m = _HEADER_RE.match(raw.strip())
             if not m:
                 raise ValueError(f"line {lineno}: expected header 'n=<int> r=<decimal>'")
-            n = int(m.group(1))
-            if n > _INT64_MAX:  # elements go to int64 buffers
-                raise ValueError(f"element count must be an int in [0, 2**63), got {n!r}")
+            n = fp.bounded_int(m.group(1))
+            if n is None or n > _INT64_MAX:  # elements go to int64 buffers
+                shown = fp.cut(m.group(1) if n is None else str(n))
+                raise ValueError(
+                    f"line {lineno}: element count must be an int in [0, 2**63), got {shown}"
+                )
             try:
                 r_scaled = fp.from_decimal(m.group(2))
             except ValueError as exc:
@@ -240,30 +269,103 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
             if r_scaled <= 0:
                 raise ValueError(f"line {lineno}: recurrence base must be positive")
             continue
-        for tok in line.split():
-            elem_s, colon, weight_s = tok.partition(":")
-            if not elem_s.isdecimal():
-                raise ValueError(f"line {lineno}: malformed token {tok!r}")
-            if not 1 <= (elem := int(elem_s)) <= n:
-                raise ValueError(f"line {lineno}: element {elem} outside 1..{n}")
-            weight = fp.SCALE
-            if colon:
-                try:
-                    weight = fp.from_decimal(weight_s)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: malformed token {tok!r}: {exc}") from None
-                if weight <= 0:
-                    raise ValueError(f"line {lineno}: non-positive weight in {tok!r}")
-            elems.append(elem - 1)
-            try:
-                weights.append(weight)
-            except OverflowError:  # so is its block's size, reported once all lines parse
-                weights.append(_INT64_MAX)
-                excess[len(starts) - 1] += weight - _INT64_MAX
-        starts.append(len(elems))
+        linenos.append(lineno)
+        starts.append(starts[-1] + len(line))
+        toks += line
+        if len(toks) >= _CHUNK_TOKENS:
+            _convert(toks, n, linenos, starts, elems, weights, excess)
+            toks = []
     if n is None:
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
+    _convert(toks, n, linenos, starts, elems, weights, excess)
+    del toks, linenos  # not needed by the fold
+    # exact-size copies: the fold, the parse's peak, then holds no growth slack
+    elems, weights = array("q", elems), array("q", weights)
     return _from_tokens(n, starts, elems, weights, excess, r_scaled)
+
+
+def _convert(toks, n, linenos, starts, elems, weights, excess) -> None:
+    """Append ``toks``, the next tokens of the blocks laid out by ``starts``
+    (from line ``linenos[i]`` for block i), to the int64 buffers. The byte
+    pass converts every token it certifies; the others take the scalar check
+    in file order, which converts each or raises the error naming its line."""
+    for i in range(0, len(toks), _CHUNK_TOKENS):
+        chunk = toks[i : i + _CHUNK_TOKENS]
+        data = (" ".join(chunk) + " ").encode("utf-8", "replace")
+        el, w, ok = _scan(data.translate(_TOKEN_BYTES), n)
+        for t in np.flatnonzero(~ok).tolist():
+            block = bisect_right(starts, len(elems) + t) - 1  # the token's block
+            el[t], weight = _token(chunk[t], linenos[block], n)
+            w[t] = min(weight, _INT64_MAX)
+            if weight > _INT64_MAX:  # so is its block's size, reported once all lines parse
+                excess[block] += weight - _INT64_MAX
+        elems.frombytes(el.tobytes())
+        weights.frombytes(w.tobytes())
+
+
+def _scan(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The byte pass. ``data`` holds tokens, each followed by one space, with
+    every byte no certified token holds replaced by 0. Per token: the 0-based
+    element id, the weight in fixed-point units, and whether both are
+    certified: the token is ``element[:[+]weight]`` with an element of at
+    most 18 digits in 1..n and a weight of at most 12 digits before the
+    point that is positive once rounded. Uncertified tokens' values are junk."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = b - 48  # uint8: the value of a digit byte, 10 or more for others
+    e = np.flatnonzero(b == 32)  # each token's end
+    s = np.concatenate(([0], e[:-1] + 1))
+
+    def first(mask):  # per token: its first byte in mask (its end if none), and if it has two
+        at = np.append(np.flatnonzero(mask), [len(b), len(b)])
+        i = np.searchsorted(at, s)
+        return np.minimum(at[i], e), at[i + 1] < e
+
+    other, _ = first(b == 0)
+    c, colons = first(b == 58)
+    d, dots = first(b == 46)
+    p, pluses = first(b == 43)
+    colon = c < e
+    ws = c + 1 + (p < e)  # where the weight's digits start
+    le, lw, lf = c - s, d - ws, e - d - 1  # element, whole and fraction lengths
+    ok = (other == e) & ~(colons | dots | pluses) & (le >= 1) & (le <= 18) & (lw <= 12)
+    ok &= (d >= c) & ((p == e) | (p == c + 1))  # a dot and a '+' only in the weight, '+' first
+    ok &= ~colon | np.where(d < e, lf >= 1, lw >= 1)  # digits, and some after a point
+
+    def read(start, count, lo, hi):  # per token, digits start..start+count-1, 0 outside lo..hi-1
+        v = np.zeros(len(e), dtype=np.int64)
+        for k in range(count):
+            at = start + k
+            v = v * 10 + np.where((at >= lo) & (at < hi), digit.take(at, mode="clip"), 0)
+        return v
+
+    ke, kw = (int(x.max(where=ok, initial=0)) for x in (le, lw))
+    elem = read(c - ke, ke, s, c)
+    frac = read(d + 1, 6, d + 1, e)
+    half_up = (lf > 6) & (digit.take(d + 7, mode="clip") >= 5)
+    w = np.where(colon, read(d - kw, kw, ws, d) * fp.SCALE + frac + half_up, fp.SCALE)
+    ok &= (elem >= 1) & (elem <= n) & (w > 0)
+    return elem - 1, w, ok
+
+
+def _token(tok: str, lineno: int, n: int) -> tuple[int, int]:
+    """The 0-based element id and the weight, in fixed-point units, of one
+    token, read with str and int; ValueError naming ``lineno`` if invalid."""
+    elem_s, colon, weight_s = tok.partition(":")
+    if not elem_s.isdecimal():
+        raise ValueError(f"line {lineno}: malformed token {fp.cut(tok)!r}")
+    elem = fp.bounded_int(elem_s)
+    if elem is None or not 1 <= elem <= n:
+        shown = fp.cut(elem_s if elem is None else str(elem))
+        raise ValueError(f"line {lineno}: element {shown} outside 1..{n}")
+    weight = fp.SCALE
+    if colon:
+        try:
+            weight = fp.from_decimal(weight_s)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed token {fp.cut(tok)!r}: {exc}") from None
+        if weight <= 0:
+            raise ValueError(f"line {lineno}: non-positive weight in {fp.cut(tok)!r}")
+    return elem - 1, weight
 
 
 def format_allocation_text(g: FeatureAllocation) -> str:

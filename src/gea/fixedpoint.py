@@ -12,6 +12,21 @@ from fractions import Fraction
 SCALE = 10**6
 
 _DECIMAL_RE = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)\Z")
+# Significant digits of an integer field or a literal's whole part: int() and
+# str() refuse over 4300 (naming no input line); sums of such values stay printable.
+MAX_DIGITS = 4000
+_ECHO = 80  # characters of an input value that an error message quotes
+
+
+def cut(text: str) -> str:
+    """``text`` cut to a bounded length, for quoting in an error message."""
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
+
+
+def bounded_int(digits: str) -> int | None:
+    """int() of a string of decimal digits, or None if it has more than
+    MAX_DIGITS significant digits: checked first, as int() refuses over 4300."""
+    return None if any(map(int, digits[:-MAX_DIGITS])) else int(digits[-MAX_DIGITS:])
 
 
 def from_number(value) -> int:
@@ -38,12 +53,14 @@ def from_decimal(text: str) -> int:
     positive literal that rounds to 0 is an error: weights and r are > 0."""
     t = text.strip()
     if not _DECIMAL_RE.match(t):
-        raise ValueError(f"not a decimal literal: {text!r}")
+        raise ValueError(f"not a decimal literal: {cut(text)!r}")
     whole, _, frac = t.lstrip("+-").partition(".")
+    if (units := bounded_int(whole or "0")) is None:
+        raise ValueError(f"{cut(t)} has more than {MAX_DIGITS} digits before the point")
     half_up = len(frac) > 6 and int(frac[6]) >= 5  # int() reads any Unicode digit
-    scaled = int(whole or "0") * SCALE + int((frac + "00000")[:6]) + half_up
+    scaled = units * SCALE + int((frac + "00000")[:6]) + half_up
     if scaled == 0 and t[0] != "-" and any(map(int, frac)):
-        raise ValueError(f"{t} rounds to 0 at the 1e-6 resolution")
+        raise ValueError(f"{cut(t)} rounds to 0 at the 1e-6 resolution")
     return -scaled if t[0] == "-" else scaled
 
 

@@ -6,11 +6,12 @@ as the production engine, so the two implementations share no caching code.
 """
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 
 from gea import fixedpoint as fp
-from gea.allocation import FeatureAllocation
+from gea.allocation import _HEADER_RE, _INT64_MAX, FeatureAllocation, _from_tokens
 from gea.agglomeration import TIE_TOLERANCE, Dendrogram
 from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
 
@@ -154,6 +155,58 @@ def random_integer_allocation(rng, max_n: int = 10, max_blocks: int = 10,
         entries = {e: rng.randint(1, max_weight) * fp.SCALE for e in elems}
         blocks.append(entries)
     return scaled_allocation(n, blocks)
+
+
+def reference_parse_allocation_text(text: str) -> FeatureAllocation:
+    """The per-line, per-token allocation text parser that the vectorized
+    ``parse_allocation_text`` replaced, kept as its oracle: each token goes
+    through ``str.partition``, ``int`` and ``fp.from_decimal``."""
+    from array import array
+
+    n = r_scaled = None
+    starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            m = _HEADER_RE.match(line)
+            if not m:
+                raise ValueError(f"line {lineno}: expected header 'n=<int> r=<decimal>'")
+            n = int(m.group(1))
+            if n > _INT64_MAX:  # elements go to int64 buffers
+                raise ValueError(f"element count must be an int in [0, 2**63), got {n!r}")
+            try:
+                r_scaled = fp.from_decimal(m.group(2))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad recurrence base: {exc}") from None
+            if r_scaled <= 0:
+                raise ValueError(f"line {lineno}: recurrence base must be positive")
+            continue
+        for tok in line.split():
+            elem_s, colon, weight_s = tok.partition(":")
+            if not elem_s.isdecimal():
+                raise ValueError(f"line {lineno}: malformed token {tok!r}")
+            if not 1 <= (elem := int(elem_s)) <= n:
+                raise ValueError(f"line {lineno}: element {elem} outside 1..{n}")
+            weight = fp.SCALE
+            if colon:
+                try:
+                    weight = fp.from_decimal(weight_s)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: malformed token {tok!r}: {exc}") from None
+                if weight <= 0:
+                    raise ValueError(f"line {lineno}: non-positive weight in {tok!r}")
+            elems.append(elem - 1)
+            try:
+                weights.append(weight)
+            except OverflowError:  # so is its block's size, reported once all lines parse
+                weights.append(_INT64_MAX)
+                excess[len(starts) - 1] += weight - _INT64_MAX
+        starts.append(len(elems))
+    if n is None:
+        raise ValueError("missing header line 'n=<int> r=<decimal>'")
+    return _from_tokens(n, starts, elems, weights, excess, r_scaled)
 
 
 def simpson(f, a: float, b: float, intervals: int) -> float:

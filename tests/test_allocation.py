@@ -1,11 +1,13 @@
 """Feature allocations and their CSR arrays, projection, size tallies, text format."""
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gea import fixedpoint as fp
+from gea import allocation, fixedpoint as fp
 from gea.allocation import (
     FeatureAllocation,
     cod,
@@ -14,7 +16,7 @@ from gea.allocation import (
     project,
 )
 
-from helpers import random_allocation
+from helpers import random_allocation, reference_parse_allocation_text
 
 
 # --- blocks as arrays ---------------------------------------------------------
@@ -222,6 +224,8 @@ def test_parse_mixed_tokens_fold_by_summing():
         ("n=3 r=1.0\n1:0.0\n", "non-positive weight"),
         ("n=x r=1.0\n", "header"),
         ("", "missing header"),
+        ("# c\nn=9223372036854775808 r=1.0\n", "^line 2: element count must be an int in "
+         r"\[0, 2\*\*63\), got 9223372036854775808$"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -297,3 +301,198 @@ def test_parser_builds_the_arrays_from_weights_builds():
         canonical = format_allocation_text(g)
         assert parse_allocation_text(canonical) == g
         assert format_allocation_text(parse_allocation_text(canonical)) == canonical
+
+
+# --- the vectorized parser against the per-token reference ------------------------
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]  # whitespace that breaks no line
+ZEROS = "\u0660\u0966\uff10"  # Arabic-Indic, Devanagari and fullwidth digit zero
+INT64_MAX = 2**63 - 1
+FILLER = ["", " ", "\t\u3000", "#", "# comment", "  \t# caf\u00e9 \u0663 1:2 \u2211", "\xa0#1:x"]
+BAD_TOKENS = [
+    "1:", ":1", "1::2", "1:2:3", "1:-0", "1:0.0000004", "1:-0.0000004", "1:.0000004", "1:-2",
+    "1:0", "1:0.0", "1:1e3", "1:2.", "1:.", "1:+", "1:+.", "1:+-1", "1:2.5+", "1:2.5.6", "1.:2",
+    "x", "1.5", "+1", "-1", "#1", "\u00b2", "1:\u00bd", "1:0x10", "1:1/2", "1:\x00", "\u00e9",
+    "\ud800", "1:\u200b2",
+]
+
+
+def outcome(parse, text):
+    """All a parse gives: the allocation's fields and arrays as bytes, or the
+    message of its ValueError."""
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.r_scaled, *(getattr(g, k).tobytes() for k in ("indptr", "elems", "weights", "sizes"))
+
+
+def unicode_digits(rng, text):
+    """``text`` with about half its ASCII digits in one other script."""
+    zero = ord(rng.choice(ZEROS))
+    return "".join(
+        chr(zero + int(c)) if "0" <= c <= "9" and rng.random() < 0.5 else c for c in text
+    )
+
+
+def random_weight(rng):
+    kind = rng.random()
+    if kind < 0.55:  # at most six decimals, trailing zeros and the leading 0 optional
+        whole, frac = divmod(rng.randint(1, 20_000_000), fp.SCALE)
+        lit = f"{whole}.{frac:06d}"
+        lit = lit.rstrip("0").rstrip(".") if rng.random() < 0.5 else lit
+        return lit[1:] if lit.startswith("0.") and rng.random() < 0.5 else lit
+    if kind < 0.75:  # seven or more decimals, with exact half ties
+        tail = rng.choice(["5", "4", "6", "9", "50", "49999", "50001", "5000000", "0000001"])
+        return f"{rng.randint(0, 99)}.{rng.randint(0, 999_999):06d}{tail}"
+    if kind < 0.78:  # around the 12 digits the byte pass reads, and beyond int64
+        return rng.choice([
+            str(rng.randint(10**11, 10**13)), f"{rng.randint(10**11, 10**12)}.{rng.randint(0, 99)}",
+            "999999999999.9999995", "9223372036854.775807", "9223372036854.775808",
+            "4611686018427.387904", str(rng.randint(10**19, 10**30)),
+        ])
+    if kind < 0.9:  # a '+' sign and leading zeros
+        return rng.choice(["+", ""]) + "0" * rng.randint(1, 20) + rng.choice(["1", "7", ".5", "2.25"])
+    return rng.choice(["1", "2", ".5", "+.5", "+3", "0.000001", "0.0000005", "0.00000050"])
+
+
+def random_element(rng, n):
+    e = rng.randint(1, n) if rng.random() < 0.8 else rng.randint(1, min(n, 30))
+    return "0" * rng.choice([0, 0, 0, 1, rng.randint(2, 22)]) + str(e)
+
+
+def random_parser_text(rng):
+    """A seeded allocation text that mixes every line break, whitespace,
+    comment, digit script, literal form and bad token the parser meets."""
+    n = rng.choice([rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 10**18), INT64_MAX, 0])
+    bad = rng.choice([0, 0, 0.01, 0.05, 0.3])
+    lines = [rng.choice(FILLER) for _ in range(rng.randint(0, 2))]
+    r = rng.choice(["1.0", "0.5", "+2", ".75", "1.2500005", "\u0662"])
+    r = rng.choice(["0", "0.0000004", "1e3", "9" * 20]) if rng.random() < 0.1 else r
+    header = f"n={n}{rng.choice(SPACES)}r={r}"
+    if rng.random() < 0.05:
+        header = rng.choice(["n=x r=1", "n=3", "1:1.0", "n=-1 r=1", f"n={n} r=1 x"])
+    lines.append(rng.choice(["", " ", "\t"]) + header + rng.choice(["", " ", "\u3000"]))
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.2:
+            lines.append(rng.choice(FILLER))
+        toks = []
+        for _ in range(rng.randint(1, 8)):
+            if n and rng.random() >= bad:
+                tok = random_element(rng, n)
+                tok += f":{random_weight(rng)}" if rng.random() < 0.7 else ""
+            else:
+                tok = rng.choice(BAD_TOKENS + [f"{n + 1}:1", "0:1", "1" * 25])
+            toks.append(unicode_digits(rng, tok) if rng.random() < 0.05 else tok)
+        seps = [rng.choice(SPACES) * rng.randint(1, 2) for _ in toks]
+        lines.append(rng.choice(["", " ", "\xa0"]) + "".join(s + t for s, t in zip(seps, toks))[len(seps[0]):])
+    breaks = [rng.choice(LINE_BREAKS) for _ in lines]
+    return "".join(line + brk for line, brk in zip(lines, breaks))[: None if rng.random() < 0.8 else -1]
+
+
+def test_parser_matches_the_per_token_reference():
+    # same arrays byte for byte, or the same error message; small chunks
+    # put chunk edges inside lines and between a bad token and its line
+    rng = random.Random(2024)
+    kinds = {"parsed": 0, "parsed non-ASCII": 0, "raised": 0, "block size": 0}
+    for i in range(2_400):
+        text = random_parser_text(rng)
+        want = outcome(reference_parse_allocation_text, text)
+        for chunk in [allocation._CHUNK_TOKENS] + [3] * (i % 4 == 0) + [1] * (i % 20 == 0):
+            with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+                assert outcome(parse_allocation_text, text) == want, (chunk, text)
+        if isinstance(want, str):
+            kinds["raised"] += 1
+            kinds["block size"] += "exceeds the largest supported block size" in want
+        else:
+            kinds["parsed"] += 1
+            kinds["parsed non-ASCII"] += not text.isascii()
+    assert min(kinds.values()) >= 100, kinds
+
+
+FRAGMENTS = st.sampled_from([
+    "0", "1", "2", "3", "7", "10", "\u0663", "\uff11", "\u00b2", ":", ":", "::", ".", "+", "-",
+    "5", "000000000000000000001", "99999999999999999999", "e", "#", "\x00", "\u00e9",
+])
+# messages quote at most 80 characters of a token, the reference all of it
+TOKENS = st.lists(FRAGMENTS, min_size=1, max_size=6).map("".join).filter(lambda t: len(t) <= 80)
+SEPARATORS = st.sampled_from(SPACES + ["  "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 3, 10, 10**18, INT64_MAX]),
+    lines=st.lists(st.tuples(st.lists(st.tuples(SEPARATORS, TOKENS), max_size=6),
+                             st.sampled_from(LINE_BREAKS)), max_size=6),
+    chunk=st.sampled_from([1, 2, 4096]),
+)
+def test_parser_matches_the_reference_on_any_tokens(n, lines, chunk):
+    text = f"n={n} r=1.0\n" + "".join(
+        "".join(sep + tok for sep, tok in toks) + brk for toks, brk in lines
+    )
+    with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+        assert outcome(parse_allocation_text, text) == outcome(reference_parse_allocation_text, text)
+
+
+def weighted_lines(rng, count, n=50, width=(2, 12)):
+    """``count`` block lines of random ``element:weight`` tokens."""
+    return [
+        " ".join(f"{rng.randint(1, n)}:{rng.randint(1, 20) / 4}" for _ in range(rng.randint(*width)))
+        for _ in range(count)
+    ]
+
+
+def test_chunk_edges_inside_and_between_lines():
+    size = allocation._CHUNK_TOKENS
+    rng = random.Random(5)
+    long_line = weighted_lines(rng, 1, width=(2 * size + 5,) * 2)[0]
+    sevens = weighted_lines(rng, size // 7 + 3, width=(7, 7))  # a chunk edge falls inside a line
+    for body in ([long_line], sevens, [long_line] + sevens, sevens + [long_line]):
+        text = "n=50 r=1.0\n" + "\n".join(body) + "\n"
+        g = parse_allocation_text(text)
+        assert outcome(parse_allocation_text, text) == outcome(reference_parse_allocation_text, text)
+        assert len(g.indptr) == len(body) + 1
+
+
+@pytest.mark.parametrize("bad", ["7:x", "\u0663:1.5x", "51"])
+def test_bad_token_in_a_later_chunk_names_its_line(bad):
+    size = allocation._CHUNK_TOKENS
+    rng = random.Random(6)
+    lines = weighted_lines(rng, size // 3 + 20, width=(3, 3))
+    toks = lines[-5].split()
+    toks[1] = bad  # in the second chunk, mid-line
+    lines[-5] = " ".join(toks)
+    long_line = weighted_lines(rng, 1, width=(size + 10,) * 2)[0].split()
+    long_line[size + 3] = bad  # in the long line's second chunk
+    for body, where in ((lines, len(lines) - 3), ([" ".join(long_line)], 2)):
+        text = "n=50 r=1.0\n" + "\n".join(body) + "\n"
+        with pytest.raises(ValueError, match=f"^line {where}: ") as exc:
+            parse_allocation_text(text)
+        assert str(exc.value) == outcome(reference_parse_allocation_text, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["n=3 r=1.0", "n=3 r=1.0\n", "# c\nn=3 r=2\r\n# 1:2\n  # b\n\n\t\n\u2028#\x85"]
+)
+def test_header_without_blocks(text):
+    g = parse_allocation_text(text)
+    assert (g.n, g.indptr.tolist(), len(g.elems)) == (3, [0], 0)
+    assert outcome(parse_allocation_text, text) == outcome(reference_parse_allocation_text, text)
+
+
+def test_parse_peak_memory_stays_within_the_reference():
+    # the byte pass converts bounded chunks, so its temporaries stay below
+    # the fold both parsers end with; one pass over all tokens would not
+    rng = random.Random(11)
+    text = "\n".join(["n=5000 r=1.0", *weighted_lines(rng, 14_300, n=5000)]) + "\n"
+    assert 95_000 < len(text.split()) < 105_000
+    peaks = []
+    for parse in (parse_allocation_text, reference_parse_allocation_text):
+        tracemalloc.start()
+        try:
+            parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks

@@ -302,6 +302,37 @@ def test_block_size_overflow_exits_1(tmp_path, capsys, text, size, command):
     assert captured.out == ""
 
 
+LONG = "9" * 5000  # past the 4300 digits int() and str() accept
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (f"n=3 r=1.0\n{LONG}:1\n", f"line 2: element {'9' * 80}... outside 1..3"),
+        (f"# c\nn={LONG} r=1.0\n1\n",
+         f"line 2: element count must be an int in [0, 2**63), got {'9' * 80}..."),
+        (f"n=3 r=1.0\n\n1:{LONG}\n",
+         f"line 3: malformed token '1:{'9' * 78}...': {'9' * 80}... has more than 4000 digits"),
+        (f"n=3 r={LONG}\n1\n", f"line 1: bad recurrence base: {'9' * 80}... has more than"),
+        (f"n=3 r=1.0\n1:0.{'0' * 5000}1\n", "line 2: malformed token '1:0.0000"),
+        (f"n=3 r=1.0\n1:{'x' * 5000}\n", f"line 2: malformed token '1:{'x' * 78}...': "
+         f"not a decimal literal: '{'x' * 80}...'"),
+    ],
+    ids=["element", "n", "weight", "r", "rounds-to-0", "junk"],
+)
+@pytest.mark.parametrize(
+    "command", [("cluster", "--mode", "allocation"), ("entropy",)], ids=["cluster", "entropy"]
+)
+def test_over_long_fields_name_file_and_line(tmp_path, capsys, text, where, command):
+    # every message names the line, and quotes at most 80 characters of a field
+    path = write(tmp_path, "long.txt", text)
+    assert main([*command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {where}")
+    assert len(captured.err) < len(path) + 400
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("r", ["1e3", "1/3", "0.0", "9223372036855"])
 def test_r_option_is_a_positive_decimal_in_every_mode(tmp_path, capsys, r):
     # numeric mode reads --r like the allocation header does: no exponent,
