@@ -9,11 +9,12 @@ in reverse merge order rather than by thresholding heights.
 The engine keeps every live cluster in a slot: a row of an n-by-blocks
 mass matrix, scattered in one step from the allocation's CSR arrays, and a
 row and column of an n-by-n matrix of candidate union entropies, with each
-row's minimum and argmin cached. A merge keeps the union in the lower of
-its two slots, retires the other (inf row and column) and refills only the
-kept slot's pairs, one kernel call per batch of at most BATCH_ENTRIES
-summed masses. Only the kept row and the rows whose argmin was a merged
-slot are rescanned; the others compare one new entry.
+row's minimum cached. A merge keeps the union in the lower of its two
+slots, so slot i always holds the cluster whose least element is i. It
+retires the other slot (inf row and column) and refills the kept slot's
+pairs, one kernel call per batch of at most BATCH_ENTRIES summed masses.
+The kept row and rows whose minimum equalled a merged column's entry are
+rescanned; the others compare one new entry.
 """
 from __future__ import annotations
 
@@ -71,11 +72,11 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     Every candidate union is scored by its projection entropy with the
     subset's own element count and the allocation's recurrence base. The
     merge with minimal entropy wins; near-exact ties (within ``TIE_TOLERANCE``)
-    go to the union whose sorted element ids compare least. Masses are the
-    allocation's weights placed at (element, block) and slot rows are
-    evaluated in bounded batches, so working memory is 8*n**2 + 8*n*B + 32*n
-    bytes (heights; masses of B blocks; per slot its size, reference mass, row
-    minimum and argmin) + ~64*BATCH_ENTRIES.
+    go to the union whose sorted element ids compare least: the least tied
+    (row, column) slot pair. Masses are the allocation's weights placed at
+    (element, block) and slot rows are evaluated in bounded batches, so
+    working memory is 8*n**2 + 8*n*B + 24*n bytes (heights; masses of B
+    blocks; per slot its size, reference mass and row minimum) + ~64*BATCH_ENTRIES.
     """
     n = g.n
     if n < 1:
@@ -83,12 +84,12 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     if n == 1:
         return Dendrogram(1, g.r_scaled, ())
 
-    # slot i: mass row, size, node id, sorted members (() once retired), heights row/column
+    # slot i: mass row, size (0 once retired), node id, heights row/column
     mass = np.zeros((n, max(len(g.sizes), 1)), dtype=np.int64)
     mass[g.elems, np.repeat(np.arange(len(g.sizes)), g.indptr[1:] - g.indptr[:-1])] = g.weights
     size = np.ones(n, dtype=np.int64)
     ref = np.array([float(c * g.r_scaled) for c in range(n + 1)])  # exact int c*r, rounded once
-    node, members = list(range(n)), [(i,) for i in range(n)]
+    node = list(range(n))
     # union entropy of slots a < b at [a, b]; inf below the diagonal and
     # in the row and column of every retired slot
     heights = np.full((n, n), np.inf)
@@ -103,27 +104,24 @@ def gea(g: FeatureAllocation) -> Dendrogram:
 
     for a in range(n - 1):
         fill(a, np.arange(a + 1, n))
-    low, near = heights.min(axis=1), heights.argmin(axis=1)  # each row's minimum, its column
+    low = heights.min(axis=1)  # each row's minimum
     merges = []
     for step in range(n - 1):
-        # rows whose minimum is within the tie band hold every tied pair
+        # slot indices are least elements, so the least tied union is the first tied row and column
         band = low.min() + TIE_TOLERANCE
-        rows = np.flatnonzero(low <= band).tolist()
-        ties = [(rows[i], j) for i, j in np.argwhere(heights[rows] <= band).tolist()]
-        a, b = min(ties, key=lambda p: tuple(sorted(members[p[0]] + members[p[1]])))
+        a = int(np.argmax(low <= band))
+        b = int(np.argmax(heights[a] <= band))
+        # rescan row a and the rows whose minimum was in column a or b; others compare column a
+        hit = (low == heights[:, a]) | (low == heights[:, b])
+        stale = np.append(np.flatnonzero(hit & (low < np.inf)), a)
         mass[a] += mass[b]
         size[a], size[b] = size[a] + size[b], 0
-        members[a], members[b] = tuple(sorted(members[a] + members[b])), ()
-        merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), len(members[a])))
+        merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), int(size[a])))
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = np.inf
         fill(a, np.flatnonzero((size > 0) & (np.arange(n) != a)))
-        # rescan row a and the rows whose minimum was in column a or b; other rows compare column a
-        stale = np.append(np.flatnonzero(((near == a) | (near == b)) & (low < np.inf)), a)
-        closer = np.flatnonzero(heights[:a, a] < low[:a])
-        low[closer], near[closer] = heights[closer, a], a
-        near[stale] = heights[stale].argmin(axis=1)
-        low[stale] = heights[stale, near[stale]]
+        low[:a] = np.minimum(low[:a], heights[:a, a])
+        low[stale] = heights[stale].min(axis=1)
 
     if merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")

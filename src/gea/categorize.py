@@ -76,17 +76,12 @@ class CategorizationParams:
 
 
 def _offset_weights(params: CategorizationParams) -> list[tuple[int, int]]:
-    """(offset, fixed-point weight) of each of the 2m+1 categories one value
-    spawns, in ascending offset order; flanks that round to zero weight are
-    listed here and skipped by :func:`categorize`."""
-    out = []
-    for mu in range(-params.m, params.m + 1):
-        if mu == 0:
-            w = fp.SCALE
-        else:
-            w = fp.from_number((1 - abs(mu) / (params.m + 1)) ** params.gamma)
-        out.append((mu, w))
-    return out
+    """(offset, fixed-point weight) of each category one value spawns, in
+    ascending offset order: the 2m+1 offsets less the flanks whose weight
+    rounds to zero. The central weight (1 - 0)**gamma is exactly 1."""
+    m, gamma = params.m, params.gamma
+    weights = [(mu, fp.from_number((1 - abs(mu) / (m + 1)) ** gamma)) for mu in range(-m, m + 1)]
+    return [(mu, w) for mu, w in weights if w]
 
 
 def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAllocation:
@@ -109,8 +104,6 @@ def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAlloc
                 raise ValueError(f"row {e}, dimension {name!r}: {v!r} * d overflows the grid")
             g0 = _snap(y)
             for mu, w in offsets:
-                if w == 0:
-                    continue
                 entries = cats.setdefault(g0 + mu, {})
                 entries[e] = entries.get(e, 0) + w
     blocks = [cats[key] for key in sorted(cats)]  # a block's rows arrive ascending

@@ -245,7 +245,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # invariant violations and everything unexpected
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

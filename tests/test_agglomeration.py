@@ -167,11 +167,15 @@ def test_engine_matches_full_scan_reference_at_larger_n():
     # many merges at sizes the naive oracle is too slow for, so cached row
     # minima go stale and are rescanned often; heights must be bit-equal
     rng = random.Random(61)
-    for t in range(6):
-        if t % 2:
-            g = random_integer_allocation(rng, min_n=60, max_n=150, max_blocks=8, max_weight=1)
-        else:
-            g = random_allocation(rng, min_n=60, max_n=150, max_blocks=40)
+    inputs = [
+        random_integer_allocation(rng, min_n=60, max_n=150, max_blocks=8, max_weight=1) if t % 2
+        else random_allocation(rng, min_n=60, max_n=150, max_blocks=40)
+        for t in range(6)
+    ]
+    # no step of this one ties, yet a merged cluster becomes the best partner
+    # of a row above it whose cached minimum lay in another column
+    inputs.append(random_allocation(random.Random(1063), min_n=60, max_n=150, max_blocks=40))
+    for g in inputs:
         merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
         assert merges == full_scan_gea(g)
 
