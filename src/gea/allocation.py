@@ -23,7 +23,6 @@ or raises the error naming its line.
 """
 from __future__ import annotations
 
-import operator
 import re
 from bisect import bisect_right
 from collections import Counter
@@ -52,7 +51,8 @@ class FeatureAllocation:
     the reference mass ``n*r`` of the entropies. ``n``, ``r_scaled`` and every
     block size must fit in int64, the type of every mass the kernel and the
     engine sum, and n*r must stay a finite float. The constructor checks the
-    arrays and makes them read-only in place.
+    arrays and makes them read-only in place, copying views first; a view
+    taken of an owning array before it was passed must not be written.
     """
 
     n: int
@@ -73,7 +73,7 @@ class FeatureAllocation:
         arrays = [np.asarray(getattr(self, k)) for k in _ARRAYS]
         if any(a.ndim != 1 or a.size and a.dtype.kind != "i" for a in arrays):
             raise ValueError("indptr, elems and weights must be 1-d arrays of fixed-point ints")
-        indptr, elems, weights = (a.astype(np.int64, copy=False) for a in arrays)
+        indptr, elems, weights = (a.astype(np.int64, copy=a.base is not None) for a in arrays)
         steps = indptr[1:] - indptr[:-1]  # entries per block
         if indptr[:1].tolist() != [0] or steps.min(initial=1) <= 0 or indptr[-1] != len(elems):
             raise ValueError("indptr must rise from 0 to len(elems), by at least 1 per block")
@@ -168,27 +168,6 @@ def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocati
     del first
     indptr = np.append(0, np.cumsum(np.bincount(blk, minlength=nblocks)))
     return FeatureAllocation(n, indptr, el, w, r_scaled)
-
-
-def project(g: FeatureAllocation, subset: Iterable[int]) -> FeatureAllocation:
-    """Restrict an allocation to a subset of its elements.
-
-    Each block keeps only entries whose element lies in ``subset``; blocks
-    emptied by the restriction are discarded. The result is an allocation
-    over the subset with elements re-indexed 0..len(subset)-1 in ascending
-    original order; the recurrence base carries over unchanged.
-    """
-    keep = sorted({operator.index(e) for e in subset})
-    if not keep:
-        raise ValueError("subset must be non-empty")
-    if keep[0] < 0 or keep[-1] >= g.n:
-        raise ValueError(f"subset must lie inside [0, {g.n})")
-    keep = np.array(keep, dtype=np.int64)
-    pos = np.searchsorted(keep, g.elems)  # the new id of every kept entry
-    hit = keep[np.minimum(pos, len(keep) - 1)] == g.elems
-    ptr = np.append(0, np.cumsum(hit))[g.indptr]  # kept entries before each block's end
-    indptr = np.append(0, ptr[1:][ptr[1:] > ptr[:-1]])
-    return FeatureAllocation(len(keep), indptr, pos[hit], g.weights[hit], g.r_scaled)
 
 
 @dataclass(frozen=True)

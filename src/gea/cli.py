@@ -49,7 +49,10 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
     row; every column except the optional label column must parse as a
     number. Errors name rows by their line in the file."""
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:  # e.g. a cell over csv's field size limit
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1]]
@@ -81,7 +84,7 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
             except ValueError:
                 raise ValueError(
                     f"{path}: row {rowno}, column {header[i]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
+                    f"cannot parse {fp.cut(cell.strip())!r} as a number"
                 ) from None
             if not math.isfinite(v):
                 raise ValueError(

@@ -5,7 +5,6 @@ scratch through the public projection-entropy path, with the same tie rules
 as the production engine, so the two implementations share no caching code.
 """
 import math
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from gea import fixedpoint as fp
 from gea.allocation import _HEADER_RE, _INT64_MAX, FeatureAllocation, _from_tokens
 from gea.agglomeration import TIE_TOLERANCE, Dendrogram
-from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
+from gea.entropy import information_sum, subset_entropy
 
 
 def _naive_steps(g: FeatureAllocation):
@@ -22,14 +21,11 @@ def _naive_steps(g: FeatureAllocation):
     right-members) tuple, lexicographically ordered."""
     clusters = [(i,) for i in range(g.n)]
     while len(clusters) > 1:
-        scored = []
-        with warnings.catch_warnings():
-            # unions touching no block legitimately score 0 here
-            warnings.simplefilter("ignore", EmptyProjectionWarning)
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    union = clusters[i] + clusters[j]
-                    scored.append((subset_entropy(g, union), i, j))
+        scored = []  # a union that meets no block scores 0
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                union = clusters[i] + clusters[j]
+                scored.append((subset_entropy(g, union), i, j))
         best = min(h for h, _, _ in scored)
         ties = [(i, j) for h, i, j in scored if h <= best + TIE_TOLERANCE]
         i, j = min(ties, key=lambda p: tuple(sorted(clusters[p[0]] + clusters[p[1]])))

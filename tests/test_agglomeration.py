@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from gea.agglomeration import (
 from gea.allocation import FeatureAllocation, parse_allocation_text
 from gea.categorize import CategorizationParams, categorize
 from gea.cli import parse_csv
-from gea.entropy import EmptyProjectionWarning, information_sum, subset_entropy
+from gea.entropy import information_sum, subset_entropy
 
 from helpers import (
     engine_members,
@@ -88,9 +87,7 @@ def test_merge_heights_are_union_entropies():
         for t, m in enumerate(d.merges):
             union = members[m.left] + members[m.right]
             members[g.n + t] = union
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyProjectionWarning)
-                assert m.height == subset_entropy(g, union)
+            assert m.height == subset_entropy(g, union)
             assert m.size == len(union)
 
 

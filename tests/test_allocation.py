@@ -1,9 +1,10 @@
-"""Feature allocations and their CSR arrays, projection, size tallies, text format."""
+"""Feature allocations and their CSR arrays, size tallies, text format."""
 import random
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,6 @@ from gea.allocation import (
     cod,
     format_allocation_text,
     parse_allocation_text,
-    project,
 )
 
 from helpers import random_allocation, reference_parse_allocation_text
@@ -57,6 +57,19 @@ def test_block_entries_sorted_and_validated():
             FeatureAllocation(6, indptr, elems, weights)
 
 
+def test_views_given_to_the_constructor_are_copied():
+    # an array that owns its data is frozen in place; a view is copied, as
+    # its base stays writable
+    e, w = np.array([0, 1, 2]), np.full(3, fp.SCALE)
+    g = FeatureAllocation(3, np.array([0, 2, 3]), e[:], w[:])
+    w[0], e[1] = -7, 0
+    assert g.elems.tolist() == [0, 1, 2] and g.weights.tolist() == [fp.SCALE] * 3
+    assert g.sizes.tolist() == [2 * fp.SCALE, fp.SCALE]
+    ptr, el = np.array([0, 2]), np.array([0, 2])
+    h = FeatureAllocation(3, ptr, el, np.full(2, fp.SCALE))
+    assert h.indptr is ptr and h.elems is el and not el.flags.writeable
+
+
 # --- FeatureAllocation ------------------------------------------------------
 
 
@@ -96,49 +109,12 @@ def test_allocation_r_is_exact():
     assert g.r_scaled == 2 * fp.SCALE
 
 
-# --- project ----------------------------------------------------------------
+# --- cod ----------------------------------------------------------------------
 
 
 def fixture_f():
     # {{1,3,6,7},{2},{4,5},{5}} over 7 elements (1-based notation)
     return parse_allocation_text("n=7 r=1.0\n1 3 6 7\n2\n4 5\n5\n")
-
-
-def test_project_restricts_and_reindexes():
-    g = fixture_f()
-    sub = project(g, [3, 4])  # elements 4 and 5, 1-based
-    assert sub.n == 2
-    assert [b.entries for b in sub.blocks] == [
-        {0: fp.SCALE, 1: fp.SCALE},
-        {1: fp.SCALE},
-    ]
-    assert sub.r_scaled == g.r_scaled
-
-
-def test_project_identity_on_full_universe():
-    g = fixture_f()
-    sub = project(g, range(7))
-    assert sub == g
-
-
-def test_project_discards_emptied_blocks():
-    g = fixture_f()
-    sub = project(g, [1])  # element 2: appears only in its singleton block
-    assert len(sub.blocks) == 1
-    assert sub.blocks[0].entries == {0: fp.SCALE}
-
-
-def test_project_rejects_bad_subsets():
-    g = fixture_f()
-    with pytest.raises(ValueError):
-        project(g, [])
-    with pytest.raises(ValueError):
-        project(g, [7])
-    with pytest.raises(ValueError):
-        project(g, [-1])
-
-
-# --- cod ----------------------------------------------------------------------
 
 
 def test_cod_counts_blocks_by_minimum_size():

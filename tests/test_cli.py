@@ -74,7 +74,9 @@ def test_parse_csv_single_row(tmp_path):
         ("x,y\n1.0,inf\n", "non-finite"),
         ("x,y\n", "no data rows"),
         ("a,b\n\n1,2\n3,x\n", "row 4, column 'b'"),  # rows are file lines
+        ("a,b\n1,2\n1," + "1" * 200_000 + "\n", "row 3: field larger than field limit"),
     ],
+    ids=lambda v: v if len(v) < 100 else "over-long cell",
 )
 def test_parse_csv_errors(tmp_path, text, fragment):
     path = write(tmp_path, "bad.csv", text)
@@ -451,6 +453,63 @@ def test_allocation_text_exits_only_0_or_1(tmp_path_factory, data, command, r, o
         argv += ["--mode", "allocation"]
     if override is not None:
         argv += ["--r", override]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue()
+
+
+# --- exit codes on arbitrary numeric CSVs ---------------------------------------
+
+
+def mostly(good, bad):
+    """Draws from ``good`` two times in three, so most examples get far."""
+    return st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(bad)
+
+
+NUMBERS = st.sampled_from([
+    "1", "0", "-2.5", "0.125", "7", "1e308", "-1e308", "5e-324", '"3"', " 4 ", "1_0",
+    "\u0663", "\uff11.5",
+])
+JUNK = st.sampled_from(["", "1e400", "nan", "-inf", "abc", "1" * 200_000])
+
+
+@st.composite
+def tables(draw):
+    """A CSV of at most 8 rows of numbers under one of a few headers, where
+    one cell may be replaced by junk or dropped."""
+    header = draw(st.sampled_from(["a", "a,b", "a,b", "label,a,b", "a,a"]))
+    width = header.count(",") + 1
+    rows = draw(st.lists(st.lists(NUMBERS, min_size=width, max_size=width), max_size=8))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, width - 1))
+        row[j : j + 1] = draw(st.lists(JUNK, max_size=1))
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=tables(),
+    d=mostly(["1", "3", "1000000"], ["0", "-1", "9223372036854775808", "x"]),
+    m=mostly(["0", "1", "3"], ["-1"]),
+    gamma=mostly(["0", "1", "2.5"], ["-1", "nan", "inf", "1e400"]),
+    r=st.none() | mostly(["1.0", "0.5", "2"], ["0", "-1", "1e3"]),
+    label=st.none() | st.sampled_from(["label", "a", "missing"]),
+    scale=st.booleans(),
+    cut=st.none() | st.integers(0, 9),
+)
+def test_numeric_csv_exits_only_0_or_1(tmp_path_factory, table, d, m, gamma, r, label, scale, cut):
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    path.write_text(table, encoding="utf-8")
+    argv = ["cluster", "--input", str(path), "--mode", "numeric",
+            "--d", d, "--m", m, "--gamma", gamma]
+    for flag, value in (("--r", r), ("--label-col", label), ("--cut", cut)):
+        if value is not None:
+            argv += [flag, str(value)]
+    if scale:
+        argv.append("--scale")
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)

@@ -1,6 +1,7 @@
 """Entropy forms, sign cases, and their numerical cross-checks."""
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +11,13 @@ from hypothesis import given, settings, strategies as st
 from gea import fixedpoint as fp
 from gea.allocation import FeatureAllocation, parse_allocation_text
 from gea.entropy import (
-    EmptyProjectionWarning,
     generalized_entropy,
     generalized_entropy_cod,
     information_sum,
     subset_entropy,
 )
 
-from helpers import random_integer_allocation, scaled_allocation, simpson
+from helpers import random_allocation, random_integer_allocation, scaled_allocation, simpson
 
 
 def fixture_f():
@@ -194,15 +194,54 @@ def test_multiset_embedding_is_bitwise_consistent():
 # --- subset entropy ---------------------------------------------------------------
 
 
+def restricted(g, subset):
+    """The projection of ``g`` onto ``subset``, built apart from
+    subset_entropy: each block's map restricted and re-indexed by hand,
+    emptied blocks dropped."""
+    new = {e: i for i, e in enumerate(sorted(set(subset)))}
+    blocks = [{new[e]: w for e, w in b.entries.items() if e in new} for b in g.blocks]
+    return scaled_allocation(len(new), [b for b in blocks if b], g.r_scaled)
+
+
 def test_subset_entropy_reference_pair():
     g = fixture_f()
     # elements 4,5 (1-based): projected blocks {{4,5},{5}} over n'=2
     assert subset_entropy(g, [3, 4]) == pytest.approx(0.34657359027997264, abs=1e-12)
 
 
+def test_subset_entropy_restricts_and_reindexes():
+    g = fixture_f()
+    sub = scaled_allocation(2, [{0: fp.SCALE, 1: fp.SCALE}, {1: fp.SCALE}], g.r_scaled)
+    assert subset_entropy(g, [4, 3]) == generalized_entropy(sub)  # elements 4 and 5, 1-based
+
+
 def test_subset_entropy_full_subset_is_plain_entropy():
     g = fixture_f()
     assert subset_entropy(g, range(7)) == generalized_entropy(g)
+    rng = random.Random(8)
+    for _ in range(100):
+        g = random_allocation(rng, max_blocks=30)
+        assert subset_entropy(g, range(g.n)) == generalized_entropy(g)
+
+
+def test_subset_entropy_discards_emptied_blocks():
+    g = fixture_f()
+    # elements 2 and 5 (1-based): blocks {2}, {5} and {5} remain, {1,3,6,7} goes
+    sub = scaled_allocation(2, [{0: fp.SCALE}, {1: fp.SCALE}, {1: fp.SCALE}], g.r_scaled)
+    assert subset_entropy(g, [1, 4]) == generalized_entropy(sub)
+
+
+def test_subset_entropy_matches_hand_restricted_allocations():
+    # bit for bit, on weighted and integer allocations, some without blocks,
+    # and on subsets that meet no block
+    rng = random.Random(21)
+    for t in range(400):
+        if t % 2:
+            g = random_allocation(rng, max_n=12, max_blocks=12)
+        else:
+            g = random_integer_allocation(rng, max_n=12, max_blocks=4)
+        subset = rng.sample(range(g.n), rng.randint(1, g.n))
+        assert subset_entropy(g, subset) == generalized_entropy(restricted(g, subset))
 
 
 def test_subset_entropy_lone_element_with_weight_r():
@@ -210,12 +249,27 @@ def test_subset_entropy_lone_element_with_weight_r():
     assert subset_entropy(g, [1]) == 0.0  # element 2 sits alone in one block
 
 
-def test_subset_entropy_empty_projection_warns_and_returns_zero():
+def test_subset_entropy_meeting_no_block_is_zero_without_warning():
     g = FeatureAllocation.from_weights(3, [{0: 1}])
-    with pytest.warns(EmptyProjectionWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert subset_entropy(g, [2]) == 0.0
+        assert subset_entropy(g, [1, 2]) == 0.0
+
+
+def test_subset_entropy_of_allocation_without_blocks():
+    g = FeatureAllocation.from_weights(3, [], r="0.5")
+    assert subset_entropy(g, [0, 2]) == subset_entropy(g, range(3)) == 0.0
+    assert generalized_entropy(g) == 0.0
 
 
 def test_subset_entropy_rejects_empty_subset():
     with pytest.raises(ValueError):
         subset_entropy(fixture_f(), [])
+
+
+def test_subset_entropy_rejects_elements_outside_the_universe():
+    g = fixture_f()
+    for bad in ([7], [-1], [0, 7]):
+        with pytest.raises(ValueError, match=r"inside \[0, 7\)"):
+            subset_entropy(g, bad)
