@@ -218,6 +218,11 @@ def test_subset_entropy_restricts_and_reindexes():
 def test_subset_entropy_full_subset_is_plain_entropy():
     g = fixture_f()
     assert subset_entropy(g, range(7)) == generalized_entropy(g)
+
+
+def test_subset_entropy_identity_on_full_universe():
+    # the full universe keeps every block whole, so the subset entropy is the
+    # plain entropy bit for bit
     rng = random.Random(8)
     for _ in range(100):
         g = random_allocation(rng, max_blocks=30)
