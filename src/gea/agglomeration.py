@@ -7,14 +7,20 @@ not monotone across merges, so flat clusters are produced by undoing merges
 in reverse merge order rather than by thresholding heights.
 
 The engine keeps every live cluster in a slot: a row of an n-by-blocks
-mass matrix, scattered in one step from the allocation's CSR arrays, and a
-row and column of an n-by-n matrix of candidate union entropies, with each
-row's minimum cached. A merge keeps the union in the lower of its two
-slots, so slot i always holds the cluster whose least element is i. It
-retires the other slot (inf row and column) and refills the kept slot's
-pairs, one kernel call per batch of at most BATCH_ENTRIES summed masses.
-The kept row and rows whose minimum equalled a merged column's entry are
-rescanned; the others compare one new entry.
+mass matrix, scattered in one step from the allocation's CSR arrays, its
+total mass S and sum F of m*ln(m), and a row and column of an n-by-n matrix
+of union scores, with each row's minimum cached. A score
+(:func:`union_scores`) gathers only the blocks where one slot's row is
+positive, at most BATCH_ENTRIES masses per call, and is within its bound
+beta of the kernel's entropy. So each merge re-evaluates with
+:func:`information_sum` its contenders, the pairs scored within 2*beta +
+TIE_TOLERANCE of the least, and the tie rule picks among those values; the
+winner's value is the merge height. A merge keeps the union in the lower of
+its two slots, so slot i always holds the cluster whose least element is i.
+It retires the other slot (inf row and column), recomputes the kept slot's S
+and F from its row and rescores its pairs. The kept row and rows whose
+minimum equalled a merged column's entry are rescanned; the others compare
+one new entry.
 """
 from __future__ import annotations
 
@@ -32,8 +38,9 @@ from .entropy import information_sum
 # Candidate heights within this absolute gap count as tied; ties resolve to
 # the pair whose merged element set is lexicographically least.
 TIE_TOLERANCE = 1e-12
-# Mass entries per kernel call; its temporaries take ~64 bytes per entry.
+# Gathered mass entries per score or kernel call; temporaries take ~64 bytes per entry.
 BATCH_ENTRIES = 2**14
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,44 @@ class ClusterSet:
         return tuple(e for e, lab in enumerate(self.labels) if lab == label)
 
 
+def _xlogx(m: np.ndarray) -> np.ndarray:
+    """f(x) = x * ln(x) of integer masses as floats; 0 where a mass is 0."""
+    x = m.astype(float)
+    y = np.maximum(x, 1.0)
+    np.log(y, out=y)  # in place: the batch temporaries set gea()'s peak memory
+    y *= x
+    return y
+
+
+def union_scores(mass, cols, a, o, total, flog, count, nr):
+    """Scores of the unions of slot a with the slots ``o``, and a bound on
+    each score's distance from :func:`information_sum`'s value.
+
+    ``cols`` is slot a's support, ascending; per slot, ``total`` is S, the
+    sum of its masses m, ``flog`` is F, the sum of f(m) = m*ln(m), and
+    ``count`` is its support size; ``nr`` holds each union's float Nr. The
+    kernel's sum of (s/Nr)*ln(Nr/s) rearranges to
+
+        (S_u*ln(Nr) - F_a - F_o - C_ao) / Nr,  S_u = S_a + S_o,
+        C_ao = sum over cols of f(m_a + m_o) - f(m_a) - f(m_o),
+
+    as f(0) = 0. Masses are integers, so f >= 0 and Nr >= 2, and a sum of k
+    rounded terms is off by about k*u times their magnitudes, u the unit
+    roundoff (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3-4). The bound 4*(|supp a| + |supp o| + 16)*u*(S_u*ln(Nr) +
+    2*(F_a + F_o) + C_ao)/Nr covers this sum and the kernel's: 16 for each
+    term's conversions and logarithm, 4 to spare.
+    """
+    ma, mo = mass[a, cols], mass[np.ix_(o, cols)]
+    t = _xlogx(ma + mo)
+    t -= _xlogx(ma)
+    t -= _xlogx(mo)
+    c = t.sum(axis=1)
+    s, f, lnr = total[a] + total[o], flog[a] + flog[o], np.log(nr)
+    err = 4 * (count[a] + count[o] + 16) * _UNIT_ROUNDOFF * (s * lnr + 2 * f + c) / nr
+    return (s * lnr - f - c) / nr, err
+
+
 def gea(g: FeatureAllocation) -> Dendrogram:
     """Cluster an allocation's elements; deterministic for a given input.
 
@@ -73,10 +118,14 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     subset's own element count and the allocation's recurrence base. The
     merge with minimal entropy wins; near-exact ties (within ``TIE_TOLERANCE``)
     go to the union whose sorted element ids compare least: the least tied
-    (row, column) slot pair. Masses are the allocation's weights placed at
-    (element, block) and slot rows are evaluated in bounded batches, so
-    working memory is 8*n**2 + 8*n*B + 24*n bytes (heights; masses of B
-    blocks; per slot its size, reference mass and row minimum) + ~64*BATCH_ENTRIES.
+    (row, column) slot pair. Decisions and heights use :func:`information_sum`
+    values: the decomposed scores, each within its bound beta, only select
+    the contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
+    least, and one kernel call per merge re-evaluates them (more only when
+    contenders times the blocks they hold exceed BATCH_ENTRIES). Working
+    memory is 8*n**2 + 8*n*B + 48*n bytes (scores; masses of B blocks; per
+    slot its size, reference mass, row minimum, S, F and support size)
+    + ~64*BATCH_ENTRIES for the batches.
     """
     n = g.n
     if n < 1:
@@ -87,36 +136,65 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     # slot i: mass row, size (0 once retired), node id, heights row/column
     mass = np.zeros((n, max(len(g.sizes), 1)), dtype=np.int64)
     mass[g.elems, np.repeat(np.arange(len(g.sizes)), g.indptr[1:] - g.indptr[:-1])] = g.weights
+    count = np.bincount(g.elems, minlength=n)  # |supp|
+    total = np.bincount(g.elems, g.weights.astype(float), n)  # S
+    flog = np.bincount(g.elems, _xlogx(g.weights), n)  # F
     size = np.ones(n, dtype=np.int64)
     ref = np.array([float(c * g.r_scaled) for c in range(n + 1)])  # exact int c*r, rounded once
     node = list(range(n))
-    # union entropy of slots a < b at [a, b]; inf below the diagonal and
+    # score of the union of slots a < b at [a, b]; inf below the diagonal and
     # in the row and column of every retired slot
     heights = np.full((n, n), np.inf)
+    beta = 0.0  # largest error bound of any score so far
 
     def fill(a, others):
-        # slot a's union entropies with others, BATCH_ENTRIES mass entries per call
-        rows = max(1, BATCH_ENTRIES // mass.shape[1])
+        # slot a's union scores with others, BATCH_ENTRIES gathered masses per call
+        nonlocal beta
+        cols = np.flatnonzero(mass[a])  # slot a's support
+        rows = max(1, BATCH_ENTRIES // max(len(cols), 1))
         for i in range(0, len(others), rows):
             o = others[i : i + rows]
-            h = information_sum(mass[o] + mass[a], ref[size[o] + size[a]])
+            h, err = union_scores(mass, cols, a, o, total, flog, count, ref[size[o] + size[a]])
             heights[np.minimum(o, a), np.maximum(o, a)] = h
+            beta = max(beta, err.max())
+
+    def canonical(r, c):
+        # information_sum of the unions of slots r[i] and c[i] on the blocks any
+        # of them holds, BATCH_ENTRIES gathered masses per call
+        held = np.zeros(mass.shape[1], dtype=bool)
+        for s in {*r.tolist(), *c.tolist()}:
+            held |= mass[s] > 0
+        cols = np.flatnonzero(held)
+        rows = max(1, BATCH_ENTRIES // max(len(cols), 1))
+        return np.concatenate([
+            information_sum(mass[np.ix_(r[i : i + rows], cols)] + mass[np.ix_(c[i : i + rows], cols)],
+                            ref[size[r[i : i + rows]] + size[c[i : i + rows]]])
+            for i in range(0, len(r), rows)
+        ])
 
     for a in range(n - 1):
         fill(a, np.arange(a + 1, n))
     low = heights.min(axis=1)  # each row's minimum
     merges = []
     for step in range(n - 1):
-        # slot indices are least elements, so the least tied union is the first tied row and column
-        band = low.min() + TIE_TOLERANCE
-        a = int(np.argmax(low <= band))
-        b = int(np.argmax(heights[a] <= band))
+        # contenders: each score is within beta of its entropy, so these hold every
+        # pair whose entropy may lie within TIE_TOLERANCE of the least
+        band = low.min() + 2 * beta + TIE_TOLERANCE
+        near = np.flatnonzero(low <= band)
+        r, c = np.nonzero(heights[near] <= band)
+        r = near[r]  # row-major, so ascending (row, column)
+        h = canonical(r, c)
+        # slot indices are least elements, so the least tied union is the first tied pair
+        i = int(np.argmax(h <= h.min() + TIE_TOLERANCE))
+        a, b = int(r[i]), int(c[i])
         # rescan row a and the rows whose minimum was in column a or b; others compare column a
         hit = (low == heights[:, a]) | (low == heights[:, b])
         stale = np.append(np.flatnonzero(hit & (low < np.inf)), a)
         mass[a] += mass[b]
+        m = mass[a][mass[a] > 0]
+        total[a], flog[a], count[a] = m.astype(float).sum(), _xlogx(m).sum(), len(m)
         size[a], size[b] = size[a] + size[b], 0
-        merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), int(size[a])))
+        merges.append(Merge(*sorted((node[a], node[b])), float(h[i]), int(size[a])))
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = np.inf
         fill(a, np.flatnonzero((size > 0) & (np.arange(n) != a)))

@@ -80,6 +80,8 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
                 labels.append(cell.strip())
                 continue
             try:
+                if "_" in cell:  # float() would read digit-group underscores: 1_0 as 10
+                    raise ValueError
                 v = float(cell)
             except ValueError:
                 raise ValueError(

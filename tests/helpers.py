@@ -53,17 +53,17 @@ def naive_gea_ties(g: FeatureAllocation):
 
 
 def full_scan_gea(g: FeatureAllocation) -> list[tuple[int, int, float, int]]:
-    """Reference engine without a row-minimum cache: (left, right, height,
-    size) per merge, with gea()'s node ids, tie rule and kept-lower-slot
-    rule. Every step scans the whole n-by-n matrix of union entropies with
-    argwhere; a merge refills the kept slot's pairs in one unbatched
-    information_sum call. Fast enough for n in the hundreds, where the
-    from-scratch oracle is not."""
+    """Reference engine without a row-minimum cache, decomposed scores or
+    contenders: (left, right, height, size) per merge, with gea()'s node
+    ids, tie rule and kept-lower-slot rule. Masses are scattered from the
+    CSR arrays into a dense matrix; every step scans the whole n-by-n
+    matrix of union entropies with argwhere, and a merge refills the kept
+    slot's pairs in one unbatched information_sum call over dense union
+    rows. Fast enough for n in the hundreds, where the from-scratch oracle
+    is not."""
     n, r_s = g.n, g.r_scaled
-    mass = np.zeros((n, max(len(g.blocks), 1)), dtype=np.int64)
-    for j, b in enumerate(g.blocks):
-        for e, w in b.entries.items():
-            mass[e, j] = w
+    mass = np.zeros((n, max(len(g.sizes), 1)), dtype=np.int64)
+    mass[g.elems, np.repeat(np.arange(len(g.sizes)), np.diff(g.indptr))] = g.weights
     node, members = list(range(n)), [(i,) for i in range(n)]
     heights = np.full((n, n), np.inf)
 

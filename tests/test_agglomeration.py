@@ -7,7 +7,9 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gea import agglomeration, fixedpoint as fp
 from gea.agglomeration import (
@@ -38,6 +40,7 @@ from helpers import (
     scaled_allocation,
 )
 
+INT64_MAX = 2**63 - 1
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
@@ -160,9 +163,7 @@ def test_every_step_ties_when_all_elements_share_their_blocks():
     assert len({m.height for m in d.merges}) == 1
 
 
-def test_engine_matches_full_scan_reference_at_larger_n():
-    # many merges at sizes the naive oracle is too slow for, so cached row
-    # minima go stale and are rescanned often; heights must be bit-equal
+def larger_inputs():
     rng = random.Random(61)
     inputs = [
         random_integer_allocation(rng, min_n=60, max_n=150, max_blocks=8, max_weight=1) if t % 2
@@ -172,9 +173,35 @@ def test_engine_matches_full_scan_reference_at_larger_n():
     # no step of this one ties, yet a merged cluster becomes the best partner
     # of a row above it whose cached minimum lay in another column
     inputs.append(random_allocation(random.Random(1063), min_n=60, max_n=150, max_blocks=40))
-    for g in inputs:
+    return inputs
+
+
+def test_engine_matches_full_scan_reference_at_larger_n():
+    # many merges at sizes the naive oracle is too slow for, so cached row
+    # minima go stale and are rescanned often; heights must be bit-equal
+    for g in larger_inputs():
         merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
         assert merges == full_scan_gea(g)
+
+
+def recorded_scores(monkeypatch, noise_seed=None):
+    """Route gea()'s score calls through a wrapper that checks every score is
+    within its bound of information_sum over the dense union rows; returns,
+    per call, the rows scored and the columns gathered. With ``noise_seed``,
+    every score moves by a seeded draw within half its bound."""
+    calls, real = [], agglomeration.union_scores
+    noise = None if noise_seed is None else np.random.default_rng(noise_seed)
+
+    def recording(mass, cols, a, o, total, flog, count, nr):
+        h, err = real(mass, cols, a, o, total, flog, count, nr)
+        assert (np.abs(h - information_sum(mass[o] + mass[a], nr)) <= err).all()
+        calls.append((len(o), len(cols)))
+        if noise is not None:
+            h = h + noise.uniform(-0.5, 0.5, len(h)) * err
+        return h, err
+
+    monkeypatch.setattr(agglomeration, "union_scores", recording)
+    return calls
 
 
 def counted_kernel(monkeypatch):
@@ -190,35 +217,101 @@ def counted_kernel(monkeypatch):
     return rows
 
 
-def test_each_slot_row_fill_is_one_kernel_call(monkeypatch):
-    # n * blocks is under BATCH_ENTRIES: n - 1 fills at the start, one per merge
-    rows = counted_kernel(monkeypatch)
-    g = random_allocation(random.Random(41), min_n=40, max_n=40, max_blocks=20)
-    gea(g)
-    assert len(rows) <= 2 * g.n
-
-
-@pytest.mark.parametrize("width, per_call", [(BATCH_ENTRIES + 1, 1), (BATCH_ENTRIES // 3, 3)])
-def test_row_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_call):
-    # one row per call when a row alone exceeds the budget; with 3 rows per
-    # call the fills of 4 and 2 other slots end on a partial batch. Every
-    # pair is evaluated at the start, every live pair again after a merge.
+@pytest.mark.parametrize("width, per_call", [(BATCH_ENTRIES // 2 + 1, 1), (BATCH_ENTRIES // 3, 3)])
+def test_score_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_call):
+    # every element holds all ``width`` blocks: one row per call when a row
+    # alone takes over half the budget; with 3 rows per call the fills of 4
+    # and 2 other slots end on a partial batch. Every pair is scored at the
+    # start, every live pair again after a merge.
     rng = random.Random(width)
     n = 5
-    blocks = [
-        {e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(n), rng.randint(1, 2))}
-        for _ in range(width)
-    ]
-    g = scaled_allocation(n, blocks)
-    rows = counted_kernel(monkeypatch)
+    g = scaled_allocation(n, [{e: rng.randint(1, 3 * fp.SCALE) for e in range(n)} for _ in range(width)])
+    calls = recorded_scores(monkeypatch)
     d = gea(g)
-    assert max(rows) == per_call
-    assert sum(rows) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
+    assert set(calls) <= {(k, width) for k in range(1, per_call + 1)}
+    assert max(k for k, _ in calls) == per_call
+    assert sum(k for k, _ in calls) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
     members = {i: (i,) for i in range(n)}
     for t, m in enumerate(d.merges):
         members[n + t] = members[m.left] + members[m.right]
         assert m.height == subset_entropy(g, members[n + t])
     assert engine_members(d) == naive_gea_members(g)
+
+
+def test_score_calls_gather_the_slot_support_not_every_block(monkeypatch):
+    # over BATCH_ENTRIES blocks, yet each element holds about 1/13 of them:
+    # a call gathers only slot a's blocks, so it scores many rows at once
+    rng = random.Random(42)
+    n = 20
+    blocks = [{e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(n), rng.randint(1, 2))}
+              for _ in range(BATCH_ENTRIES + 1)]
+    g = scaled_allocation(n, blocks)
+    calls = recorded_scores(monkeypatch)
+    d = gea(g)
+    assert all(k * p <= BATCH_ENTRIES or k == 1 for k, p in calls)
+    assert max(k for k, p in calls if p * 10 < len(blocks)) >= 10
+    assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
+
+
+def test_each_merge_makes_one_canonical_call_on_its_contenders(monkeypatch):
+    # every union has the same per-block ratios, so every live pair is a
+    # contender at every step; with margins far above every bound, only the
+    # winner is
+    n = 25
+    tied = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), w) for w in (1, 2, 0.3)])
+    rng = random.Random(8)
+    clear = next(g for g in (random_allocation(rng, min_n=12, max_n=12) for _ in range(100))
+                 if naive_decision_margin(g) > 1e-6)
+    for g, contenders in ((tied, lambda t: (n - t) * (n - t - 1) // 2), (clear, lambda t: 1)):
+        rows = counted_kernel(monkeypatch)
+        d = gea(g)
+        assert rows == [contenders(t) for t in range(g.n - 1)]
+        assert engine_members(d) == naive_gea_members(g)
+
+
+WEIGHT = st.integers(1, 50) | st.just(None)  # None: near the block-size limit
+
+
+@st.composite
+def bound_inputs(draw):
+    """Allocations at the edges of the score's range: weights near the
+    int64 block-size limit, r = 1e-6 or a large r, blocks held by all but
+    one element, and elements in no block."""
+    n = draw(st.integers(2, 7))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1)
+                       | st.integers(0, n - 1).map(lambda k: set(range(n)) - {k}))
+        cap = INT64_MAX // len(members)
+        blocks.append({e: w or cap - draw(st.integers(0, 10**6)) for e, w in
+                       zip(sorted(members), draw(st.lists(WEIGHT, min_size=len(members), max_size=len(members))))})
+    r_scaled = draw(st.sampled_from([1, fp.SCALE, 2**62]))
+    return scaled_allocation(n + draw(st.integers(0, 2)), blocks, r_scaled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=bound_inputs())
+def test_every_score_is_within_its_bound_of_the_canonical_entropy(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = recorded_scores(monkeypatch)
+        d = gea(g)
+    assert calls
+    members = {i: (i,) for i in range(g.n)}
+    for t, m in enumerate(d.merges):
+        members[g.n + t] = members[m.left] + members[m.right]
+        assert m.height == subset_entropy(g, members[g.n + t])
+
+
+def test_scores_moved_within_half_their_bound_leave_dendrograms_unchanged(monkeypatch):
+    # the contenders, re-evaluated by the kernel, decide every merge; scores
+    # that move anywhere within half their bound must not change one
+    iris = categorize(parse_csv(str(resources.files("gea") / "data" / "iris.csv"), "species"),
+                      CategorizationParams(d=10, m=5, gamma=3, r=1))
+    inputs = [iris, *larger_inputs()]
+    want = [gea(g).merges for g in inputs]
+    for seed in (1, 2):
+        recorded_scores(monkeypatch, noise_seed=seed)
+        assert [gea(g).merges for g in inputs] == want
 
 
 def test_block_order_leaves_merges_unchanged_above_margin():

@@ -72,6 +72,7 @@ def test_parse_csv_single_row(tmp_path):
         ("", "empty file"),
         ("x,y\n1.0\n", "expected 2 cells"),
         ("x,y\n1.0,inf\n", "non-finite"),
+        ("x,y\n1.0,1_0\n", "cannot parse '1_0' as a number"),
         ("x,y\n", "no data rows"),
         ("a,b\n\n1,2\n3,x\n", "row 4, column 'b'"),  # rows are file lines
         ("a,b\n1,2\n1," + "1" * 200_000 + "\n", "row 3: field larger than field limit"),
