@@ -12,15 +12,19 @@ total mass S and sum F of m*ln(m), and a row and column of an n-by-n matrix
 of union scores, with each row's minimum cached. A score
 (:func:`union_scores`) gathers only the blocks where one slot's row is
 positive, at most BATCH_ENTRIES masses per call, and is within its bound
-beta of the kernel's entropy. So each merge re-evaluates with
-:func:`information_sum` its contenders, the pairs scored within 2*beta +
-TIE_TOLERANCE of the least, and the tie rule picks among those values; the
-winner's value is the merge height. A merge keeps the union in the lower of
-its two slots, so slot i always holds the cluster whose least element is i.
-It retires the other slot (inf row and column), recomputes the kept slot's S
-and F from its row and rescores its pairs. The kept row and rows whose
-minimum equalled a merged column's entry are rescanned; the others compare
-one new entry.
+beta of the kernel's entropy. Each merge's contenders are the pairs scored
+within 2*beta + TIE_TOLERANCE of the least; :func:`information_sum`
+replaces the score of each contender that has no kernel value yet, and that
+value stays until a merge rescores the pair. A second row cache, a lower
+bound on each row's least score without a kernel value that a scan of the
+row makes exact, limits the search for such contenders, so pairs that tie
+merge after merge are evaluated and scanned once. The least tied pair is
+then read from the row minima, and its value is the merge height. A merge
+keeps the union in the lower of its two slots, so slot i always holds the
+cluster whose least element is i. It retires the other slot (inf row and
+column), recomputes the kept slot's S and F from its row and rescores its
+pairs. The kept row and rows whose minimum was in a merged column are
+rescanned; the others compare one new entry.
 """
 from __future__ import annotations
 
@@ -121,10 +125,12 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     (row, column) slot pair. Decisions and heights use :func:`information_sum`
     values: the decomposed scores, each within its bound beta, only select
     the contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
-    least, and one kernel call per merge re-evaluates them (more only when
-    contenders times the blocks they hold exceed BATCH_ENTRIES). Working
-    memory is 8*n**2 + 8*n*B + 48*n bytes (scores; masses of B blocks; per
-    slot its size, reference mass, row minimum, S, F and support size)
+    least. A merge evaluates the contenders that have no kernel value yet
+    in one kernel call (more only when it would pass BATCH_ENTRIES scanned
+    scores or masses) and keeps those values until a merge rescores their
+    pairs. Working memory is 9*n**2 + 8*n*B + 56*n bytes (scores and which
+    of them are kernel values; masses of B blocks; per slot its size,
+    reference mass, two row minima, S, F and support size)
     + ~64*BATCH_ENTRIES for the batches.
     """
     n = g.n
@@ -145,6 +151,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     # score of the union of slots a < b at [a, b]; inf below the diagonal and
     # in the row and column of every retired slot
     heights = np.full((n, n), np.inf)
+    exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
     beta = 0.0  # largest error bound of any score so far
 
     def fill(a, others):
@@ -159,34 +166,37 @@ def gea(g: FeatureAllocation) -> Dendrogram:
             beta = max(beta, err.max())
 
     def canonical(r, c):
-        # information_sum of the unions of slots r[i] and c[i] on the blocks any
-        # of them holds, BATCH_ENTRIES gathered masses per call
-        held = np.zeros(mass.shape[1], dtype=bool)
-        for s in {*r.tolist(), *c.tolist()}:
-            held |= mass[s] > 0
-        cols = np.flatnonzero(held)
-        rows = max(1, BATCH_ENTRIES // max(len(cols), 1))
-        return np.concatenate([
-            information_sum(mass[np.ix_(r[i : i + rows], cols)] + mass[np.ix_(c[i : i + rows], cols)],
-                            ref[size[r[i : i + rows]] + size[c[i : i + rows]]])
-            for i in range(0, len(r), rows)
-        ])
+        # information_sum of the unions of slots r[i] and c[i], BATCH_ENTRIES masses per call
+        k = max(1, BATCH_ENTRIES // mass.shape[1])
+        parts = [(r[i : i + k], c[i : i + k]) for i in range(0, len(r), k)]
+        return np.concatenate([information_sum(mass[x] + mass[y], ref[size[x] + size[y]])
+                               for x, y in parts])
 
     for a in range(n - 1):
         fill(a, np.arange(a + 1, n))
     low = heights.min(axis=1)  # each row's minimum
+    # at most each row's least score not yet replaced by a kernel value; exact once scanned
+    fresh = low.copy()
     merges = []
     for step in range(n - 1):
         # contenders: each score is within beta of its entropy, so these hold every
         # pair whose entropy may lie within TIE_TOLERANCE of the least
         band = low.min() + 2 * beta + TIE_TOLERANCE
-        near = np.flatnonzero(low <= band)
-        r, c = np.nonzero(heights[near] <= band)
-        r = near[r]  # row-major, so ascending (row, column)
-        h = canonical(r, c)
-        # slot indices are least elements, so the least tied union is the first tied pair
-        i = int(np.argmax(h <= h.min() + TIE_TOLERANCE))
-        a, b = int(r[i]), int(c[i])
+        near, k = np.flatnonzero(fresh <= band), max(1, BATCH_ENTRIES // n)
+        for s in (near[i : i + k] for i in range(0, len(near), k)):
+            h = heights[s]
+            i, c = np.nonzero((h <= band) & ~exact[s])
+            if len(i):  # a kernel value stays until a merge rescores its pair
+                h[i, c] = heights[s[i], c] = canonical(s[i], c)
+                exact[s[i], c] = True
+            low[s] = h.min(axis=1)
+            h[exact[s]] = np.inf
+            fresh[s] = h.min(axis=1)
+        # every pair within TIE_TOLERANCE of the least now holds its kernel value; slot
+        # indices are least elements, so the least tied union is the first tied row and column
+        band = low.min() + TIE_TOLERANCE
+        a = int(np.argmax(low <= band))
+        b = int(np.argmax(heights[a] <= band))
         # rescan row a and the rows whose minimum was in column a or b; others compare column a
         hit = (low == heights[:, a]) | (low == heights[:, b])
         stale = np.append(np.flatnonzero(hit & (low < np.inf)), a)
@@ -194,12 +204,15 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         m = mass[a][mass[a] > 0]
         total[a], flog[a], count[a] = m.astype(float).sum(), _xlogx(m).sum(), len(m)
         size[a], size[b] = size[a] + size[b], 0
-        merges.append(Merge(*sorted((node[a], node[b])), float(h[i]), int(size[a])))
+        merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), int(size[a])))
         node[a] = n + step
-        heights[b, :] = heights[:, b] = low[b] = np.inf
+        heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
+        exact[a, :] = exact[:, a] = False
         fill(a, np.flatnonzero((size > 0) & (np.arange(n) != a)))
         low[:a] = np.minimum(low[:a], heights[:a, a])
+        fresh[:a] = np.minimum(fresh[:a], heights[:a, a])
         low[stale] = heights[stale].min(axis=1)
+        fresh[a] = low[a]
 
     if merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")

@@ -149,16 +149,9 @@ def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.nd
 def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocation:
     """The allocation whose block i is the non-empty run of (element, weight)
     tokens from ``starts[i]`` to ``starts[i + 1]`` of int64 buffers. Repeated
-    elements fold by summing, exactly, as block sizes are checked first; when
-    every block already ascends, as written by :func:`format_allocation_text`,
-    the arrays are taken as they are."""
+    elements fold by summing, exactly, as block sizes are checked first."""
     starts, el, w = (np.frombuffer(a, dtype=np.int64) for a in (starts, elems, weights))
     _block_sizes(starts, w, excess)
-    flat = el[1:] <= el[:-1]
-    flat[starts[1:-1] - 1] = False  # a block's first element follows another block
-    if not np.count_nonzero(flat):  # every block ascends, each element once: nothing to fold
-        return FeatureAllocation(n, starts, el, w, r_scaled)
-    del flat
     # the fold sets a parse's peak memory: block ids take the narrowest
     # dtype, and each temporary goes as soon as it is used
     nblocks = len(starts) - 1

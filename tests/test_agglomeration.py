@@ -253,20 +253,43 @@ def test_score_calls_gather_the_slot_support_not_every_block(monkeypatch):
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
-def test_each_merge_makes_one_canonical_call_on_its_contenders(monkeypatch):
+def test_each_merge_makes_one_canonical_call_on_its_new_contenders(monkeypatch):
     # every union has the same per-block ratios, so every live pair is a
-    # contender at every step; with margins far above every bound, only the
-    # winner is
+    # contender at every step, but only the first step and the merged slot's
+    # rescored pairs need the kernel; with margins far above every bound,
+    # only the winner is a contender
     n = 25
     tied = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), w) for w in (1, 2, 0.3)])
     rng = random.Random(8)
     clear = next(g for g in (random_allocation(rng, min_n=12, max_n=12) for _ in range(100))
                  if naive_decision_margin(g) > 1e-6)
-    for g, contenders in ((tied, lambda t: (n - t) * (n - t - 1) // 2), (clear, lambda t: 1)):
+    for g, contenders in ((tied, lambda t: n - t - 1 if t else n * (n - 1) // 2), (clear, lambda t: 1)):
         rows = counted_kernel(monkeypatch)
         d = gea(g)
         assert rows == [contenders(t) for t in range(g.n - 1)]
         assert engine_members(d) == naive_gea_members(g)
+
+
+def test_contender_calls_split_at_the_batch_budget_in_pair_order(monkeypatch):
+    # each element holds its own 100 blocks, weighted by one shuffled list, so
+    # every two-element union ties up to the rounding of its summation order;
+    # the first step's 66 contenders hold 1,200 blocks, so the kernel call
+    # splits, and each value must land on its own pair for the heights to be
+    # bit-equal
+    rng = random.Random(5)
+    n, width = 12, 100
+    weights = [rng.randint(1, 3 * fp.SCALE) for _ in range(width)]
+    blocks = []
+    for e in range(n):
+        rng.shuffle(weights)
+        blocks += [{e: w} for w in weights]
+    g = scaled_allocation(n, blocks)
+    rows = counted_kernel(monkeypatch)
+    d = gea(g)
+    per_call, pairs = BATCH_ENTRIES // (n * width), n * (n - 1) // 2
+    assert rows[: -(-pairs // per_call)] == [per_call] * (pairs // per_call) + [pairs % per_call]
+    assert len({m.height for m in d.merges[: n // 2]}) > 1
+    assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
 WEIGHT = st.integers(1, 50) | st.just(None)  # None: near the block-size limit
