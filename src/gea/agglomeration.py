@@ -10,9 +10,10 @@ The engine keeps every live cluster in a slot: a row of an n-by-blocks
 mass matrix, scattered in one step from the allocation's CSR arrays, its
 total mass S and sum F of m*ln(m), and a row and column of an n-by-n matrix
 of union scores, with each row's minimum cached. A score
-(:func:`union_scores`) gathers only the blocks where one slot's row is
-positive, at most BATCH_ENTRIES masses per call, and is within its bound
-beta of the kernel's entropy. Each merge's contenders are the pairs scored
+(:func:`union_scores`) of slots a and o, (S_u*ln(Nr) - F_o - D_ao)/Nr, reads
+only o's F, gathers at most BATCH_ENTRIES masses per call from the blocks
+where a's row is positive, and is within its bound beta of the kernel's
+entropy. Each merge's contenders are the pairs scored
 within 2*beta + TIE_TOLERANCE of the least; :func:`information_sum`
 replaces the score of each contender that has no kernel value yet, and that
 value stays until a merge rescores the pair. A second row cache, a lower
@@ -90,29 +91,28 @@ def union_scores(mass, cols, a, o, total, flog, count, nr):
     """Scores of the unions of slot a with the slots ``o``, and a bound on
     each score's distance from :func:`information_sum`'s value.
 
-    ``cols`` is slot a's support, ascending; per slot, ``total`` is S, the
-    sum of its masses m, ``flog`` is F, the sum of f(m) = m*ln(m), and
-    ``count`` is its support size; ``nr`` holds each union's float Nr. The
-    kernel's sum of (s/Nr)*ln(Nr/s) rearranges to
-
-        (S_u*ln(Nr) - F_a - F_o - C_ao) / Nr,  S_u = S_a + S_o,
-        C_ao = sum over cols of f(m_a + m_o) - f(m_a) - f(m_o),
-
-    as f(0) = 0. Masses are integers, so f >= 0 and Nr >= 2, and a sum of k
-    rounded terms is off by about k*u times their magnitudes, u the unit
-    roundoff (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3-4). The bound 4*(|supp a| + |supp o| + 16)*u*(S_u*ln(Nr) +
-    2*(F_a + F_o) + C_ao)/Nr covers this sum and the kernel's: 16 for each
-    term's conversions and logarithm, 4 to spare.
+    ``cols`` is slot a's support; per slot, ``total`` is S, the sum of its
+    masses m, ``flog`` is F, the sum of f(m) = m*ln(m), and ``count`` is its
+    support size; ``nr`` holds each union's float Nr. The kernel's sum of
+    (s/Nr)*ln(Nr/s) is (S_u*ln(Nr) - F_u)/Nr, and as f(0) = 0, F_u = F_o + D_ao
+    with D_ao the sum over cols of f(m_a + m_o) - f(m_o): the score is
+    (S_u*ln(Nr) - F_o - D_ao)/Nr, S_u = S_a + S_o. Masses are integers, so
+    Nr >= 2 and all these terms are >= 0. A rounded term is off by a few u
+    times its operands, u the unit roundoff, and a sum of k terms by k*u
+    times their sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3-4). D_ao's operands add up to at most D_ao + 2*F_o; with K =
+    |supp a| + |supp o| + 16 (16 per term's conversions, log and products)
+    the score is off by at most K*u*(S_u*ln(Nr) + 3*F_o + D_ao)/Nr, and the
+    kernel by 1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs u*s/Nr and
+    Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 2*F_u)/Nr covers both.
     """
     ma, mo = mass[a, cols], mass[np.ix_(o, cols)]
     t = _xlogx(ma + mo)
-    t -= _xlogx(ma)
     t -= _xlogx(mo)
-    c = t.sum(axis=1)
-    s, f, lnr = total[a] + total[o], flog[a] + flog[o], np.log(nr)
-    err = 4 * (count[a] + count[o] + 16) * _UNIT_ROUNDOFF * (s * lnr + 2 * f + c) / nr
-    return (s * lnr - f - c) / nr, err
+    d = t.sum(axis=1)
+    s, lnr = total[a] + total[o], np.log(nr)
+    err = 4 * (count[a] + count[o] + 16) * _UNIT_ROUNDOFF * (s * lnr + 2 * (flog[o] + d)) / nr
+    return (s * lnr - flog[o] - d) / nr, err
 
 
 def gea(g: FeatureAllocation) -> Dendrogram:

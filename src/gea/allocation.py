@@ -17,9 +17,9 @@ pure, so values can be shared freely across threads.
 The text parser splits lines and tokens with ``str.splitlines`` and
 ``str.split``, then converts the tokens with numpy, a bounded chunk at a
 time: one pass over each chunk's bytes checks the token grammar and reads the
-digits. A token it cannot certify (Unicode digits, a field too long for
-int64, a malformed token) takes the scalar check, which converts it exactly
-or raises the error naming its line.
+digits. A token it cannot certify (Unicode digits, a signed weight, over six
+decimals, a field too long for int64, a malformed token) takes the scalar
+check, which converts it exactly or raises the error naming its line.
 """
 from __future__ import annotations
 
@@ -212,7 +212,7 @@ _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
 # 1 MiB, so the fold at the end, not the pass, sets the parse's peak memory.
 _CHUNK_TOKENS = 2**12
 # bytes.translate table: keeps the bytes a certified token may hold, others become 0
-_TOKEN_BYTES = bytes(c if chr(c) in "0123456789 :.+" else 0 for c in range(256))
+_TOKEN_BYTES = bytes(c if chr(c) in "0123456789 :." else 0 for c in range(256))
 
 
 def parse_allocation_text(text: str) -> FeatureAllocation:
@@ -286,9 +286,9 @@ def _scan(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The byte pass. ``data`` holds tokens, each followed by one space, with
     every byte no certified token holds replaced by 0. Per token: the 0-based
     element id, the weight in fixed-point units, and whether both are
-    certified: the token is ``element[:[+]weight]`` with an element of at
-    most 18 digits in 1..n and a weight of at most 12 digits before the
-    point that is positive once rounded. Uncertified tokens' values are junk."""
+    certified: the token is ``element[:weight]``, an element of at most 18
+    digits in 1..n and an unsigned positive weight of at most 12 digits before
+    the point and 6 after it. Uncertified tokens' values are junk."""
     b = np.frombuffer(data, dtype=np.uint8)
     digit = b - 48  # uint8: the value of a digit byte, 10 or more for others
     e = np.flatnonzero(b == 32)  # each token's end
@@ -302,12 +302,10 @@ def _scan(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     other, _ = first(b == 0)
     c, colons = first(b == 58)
     d, dots = first(b == 46)
-    p, pluses = first(b == 43)
     colon = c < e
-    ws = c + 1 + (p < e)  # where the weight's digits start
-    le, lw, lf = c - s, d - ws, e - d - 1  # element, whole and fraction lengths
-    ok = (other == e) & ~(colons | dots | pluses) & (le >= 1) & (le <= 18) & (lw <= 12)
-    ok &= (d >= c) & ((p == e) | (p == c + 1))  # a dot and a '+' only in the weight, '+' first
+    le, lw, lf = c - s, d - c - 1, e - d - 1  # element, whole and fraction lengths
+    ok = (other == e) & ~(colons | dots) & (le >= 1) & (le <= 18) & (lw <= 12) & (lf <= 6)
+    ok &= d >= c  # a dot only in the weight
     ok &= ~colon | np.where(d < e, lf >= 1, lw >= 1)  # digits, and some after a point
 
     def read(start, count, lo, hi):  # per token, digits start..start+count-1, 0 outside lo..hi-1
@@ -320,8 +318,7 @@ def _scan(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ke, kw = (int(x.max(where=ok, initial=0)) for x in (le, lw))
     elem = read(c - ke, ke, s, c)
     frac = read(d + 1, 6, d + 1, e)
-    half_up = (lf > 6) & (digit.take(d + 7, mode="clip") >= 5)
-    w = np.where(colon, read(d - kw, kw, ws, d) * fp.SCALE + frac + half_up, fp.SCALE)
+    w = np.where(colon, read(d - kw, kw, c + 1, d) * fp.SCALE + frac, fp.SCALE)
     ok &= (elem >= 1) & (elem <= n) & (w > 0)
     return elem - 1, w, ok
 

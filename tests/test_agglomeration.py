@@ -270,6 +270,23 @@ def test_each_merge_makes_one_canonical_call_on_its_new_contenders(monkeypatch):
         assert engine_members(d) == naive_gea_members(g)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_values_persist_when_the_kept_slot_is_not_slot_0(monkeypatch, seed):
+    # 60 elements share 6 block profiles, so many rows are exact duplicates
+    # and merges keep slots all over the matrix; each pair needs the kernel
+    # once at the start and once per rescoring of its kept slot
+    rng = random.Random(seed)
+    n = 60
+    profiles = [[rng.random() < 0.5 for _ in range(8)] for _ in range(6)]
+    picks = [rng.randrange(6) for _ in range(n)]
+    blocks = [{e: 1 for e in range(n) if profiles[picks[e]][j]} for j in range(8)]
+    g = FeatureAllocation.from_weights(n, [b for b in blocks if b])
+    rows = counted_kernel(monkeypatch)
+    d = gea(g)
+    assert sum(rows) <= n * (n - 1) // 2 + sum(n - t - 2 for t in range(n - 1))
+    assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
+
+
 def test_contender_calls_split_at_the_batch_budget_in_pair_order(monkeypatch):
     # each element holds its own 100 blocks, weighted by one shuffled list, so
     # every two-element union ties up to the rounding of its summation order;
