@@ -6,14 +6,16 @@ height. Heights may be negative (weights above the recurrence base) and are
 not monotone across merges, so flat clusters are produced by undoing merges
 in reverse merge order rather than by thresholding heights.
 
-The engine keeps every live cluster in a slot: a row of an n-by-blocks
-mass matrix, scattered in one step from the allocation's CSR arrays, its
-total mass S and sum F of m*ln(m), and a row and column of an n-by-n matrix
-of union scores, with each row's minimum cached. A score
-(:func:`union_scores`) of slots a and o, (S_u*ln(Nr) - F_o - D_ao)/Nr, reads
-only o's F, gathers at most BATCH_ENTRIES masses per call from the blocks
-where a's row is positive, and is within its bound beta of the kernel's
-entropy. Each merge's contenders are the pairs scored
+The engine keeps every live cluster in a slot (:class:`_Slots`): the
+positions of its entries among the allocation's CSR entries, which are
+block-major and so are also the block-to-slot incidence; its total mass S
+and sum F of f(m) = m*ln(m); and a row and column of an n-by-n matrix of
+union scores, with each row's minimum cached. A score (:func:`union_scores`)
+of slots a and o, (S_u*ln(Nr) - F_a - F_o - G_ao)/Nr, is in closed form for
+every slot at once; only the correction G_ao, over the blocks a and o share,
+reads entries: those of the blocks in a's support, at most BATCH_ENTRIES per
+batch. A score is within its bound beta of the kernel's entropy. Each
+merge's contenders are the pairs scored
 within 2*beta + TIE_TOLERANCE of the least; :func:`information_sum`
 replaces the score of each contender that has no kernel value yet, and that
 value stays until a merge rescores the pair. A second row cache, a lower
@@ -22,10 +24,11 @@ row makes exact, limits the search for such contenders, so pairs that tie
 merge after merge are evaluated and scanned once. The least tied pair is
 then read from the row minima, and its value is the merge height. A merge
 keeps the union in the lower of its two slots, so slot i always holds the
-cluster whose least element is i. It retires the other slot (inf row and
-column), recomputes the kept slot's S and F from its row and rescores its
-pairs. The kept row and rows whose minimum was in a merged column are
-rescanned; the others compare one new entry.
+cluster whose least element is i. It moves the other slot's entries over
+(adding those in shared blocks, which die), retires that slot (inf row and
+column) and rescores the kept slot's pairs. The kept row and rows whose
+minimum was in a merged column are rescanned; the others compare one new
+entry.
 """
 from __future__ import annotations
 
@@ -43,7 +46,8 @@ from .entropy import information_sum
 # Candidate heights within this absolute gap count as tied; ties resolve to
 # the pair whose merged element set is lexicographically least.
 TIE_TOLERANCE = 1e-12
-# Gathered mass entries per score or kernel call; temporaries take ~64 bytes per entry.
+# Gathered entries per score batch, dense union-row masses per kernel call;
+# temporaries take ~64 bytes per entry.
 BATCH_ENTRIES = 2**14
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -79,40 +83,139 @@ class ClusterSet:
 
 
 def _xlogx(m: np.ndarray) -> np.ndarray:
-    """f(x) = x * ln(x) of integer masses as floats; 0 where a mass is 0."""
+    """f(m) = m * ln(m) of positive integer masses, as floats."""
     x = m.astype(float)
-    y = np.maximum(x, 1.0)
-    np.log(y, out=y)  # in place: the batch temporaries set gea()'s peak memory
-    y *= x
+    y = np.log(x)
+    y *= x  # in place: the set-up's temporaries set gea()'s peak memory
     return y
 
 
-def union_scores(mass, cols, a, o, total, flog, count, nr):
+class _Slots:
+    """Slot masses as the allocation's CSR entries. Entry e of block
+    ``blk[e]`` (entries of block j at ``ptr[j]:ptr[j+1]``) holds ``mass[e]``
+    of slot ``owner[e]`` and ``f[e]`` = f(mass[e]); ``pos[s]`` lists slot s's
+    entries in block order, one per block of its support. Per slot, ``total``
+    is S, ``flog`` is F and ``count`` the support size. An entry that a merge
+    empties is dead, mass and f 0, until dead entries are half the array."""
+
+    def __init__(self, g: FeatureAllocation):
+        n, self.dead = g.n, 0
+        self.ptr = g.indptr.copy()
+        self.blk = np.repeat(np.arange(len(g.sizes)), self.ptr[1:] - self.ptr[:-1])
+        self.owner, self.mass = g.elems.copy(), g.weights.copy()
+        self.f = _xlogx(self.mass)
+        self.count = np.bincount(self.owner, minlength=n)
+        self.total = np.bincount(self.owner, self.mass.astype(float), n)
+        self.flog = np.bincount(self.owner, self.f, n)
+        self.pos = np.split(np.argsort(self.owner, kind="stable"), np.cumsum(self.count)[:-1])
+
+    def merge(self, a: int, b: int) -> None:
+        """Move slot b's entries to slot a: those in a block a holds add to
+        a's entry there and die, the others change owner."""
+        pa, pb = self.pos[a], self.pos[b]
+        ba, bb = self.blk[pa], self.blk[pb]
+        at = np.searchsorted(ba, bb)  # also where b's position goes among a's
+        hit = ba[np.minimum(at, len(ba) - 1)] == bb if len(ba) else np.zeros(len(bb), bool)
+        ea, eb, new = pa[at[hit]], pb[hit], pb[~hit]
+        m = self.mass[ea] + self.mass[eb]
+        self.mass[ea], self.f[ea] = m, _xlogx(m)
+        self.mass[eb] = self.f[eb] = 0
+        self.owner[new] = a
+        at = at[~hit] + np.arange(len(new))  # insert without a sort
+        p, old = np.empty(len(pa) + len(new), pa.dtype), np.ones(len(pa) + len(new), bool)
+        p[at], old[at] = new, False
+        p[old] = pa
+        self.pos[a], self.pos[b] = p, pb[:0]
+        self.total[a], self.flog[a], self.count[a] = self.mass[p].astype(float).sum(), self.f[p].sum(), len(p)
+        self.dead += len(eb)
+
+    def compact(self) -> None:
+        """Drop the dead entries once they are half the array."""
+        if 2 * self.dead >= len(self.mass):
+            keep = self.mass > 0
+            at = np.cumsum(keep) - 1  # a kept entry's new position
+            self.ptr[1:] = at[self.ptr[1:] - 1] + 1
+            for name in ("blk", "owner", "mass", "f"):
+                setattr(self, name, getattr(self, name)[keep])
+            for s, q in enumerate(self.pos):
+                self.pos[s] = at[q]
+            self.dead = 0
+
+    def union_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Dense block masses of the unions of slots x[i] and y[i], one row
+        each, added from one row per distinct slot."""
+        on = np.zeros(len(self.pos), bool)
+        on[x] = on[y] = True
+        u = np.flatnonzero(on)
+        if 16 * len(u) < len(self.owner):  # few slots: concatenate their position lists
+            e = np.concatenate([self.pos[s] for s in u.tolist()])
+        else:  # many: one pass over the owners (dead entries belong to retired slots)
+            e = np.flatnonzero(on[self.owner])
+        row = np.cumsum(on) - 1  # a slot's row among the distinct slots
+        d = np.zeros((row[-1] + 1, max(len(self.ptr) - 1, 1)), np.int64)
+        d[row[self.owner[e]], self.blk[e]] = self.mass[e]
+        return d[row[x]] + d[row[y]]
+
+
+def _batches(cum: np.ndarray) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of consecutive runs of blocks, with entry counts
+    summing to ``cum``, that hold at most BATCH_ENTRIES entries in all, or
+    one block."""
+    lo, out = 0, []
+    while lo < len(cum):
+        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + BATCH_ENTRIES, "right"))
+        out.append((lo, max(hi, lo + 1)))
+        lo = out[-1][1]
+    return out
+
+
+def union_scores(slots: _Slots, a: int, o: np.ndarray, nr: np.ndarray, above: bool = False):
     """Scores of the unions of slot a with the slots ``o``, and a bound on
     each score's distance from :func:`information_sum`'s value.
 
-    ``cols`` is slot a's support; per slot, ``total`` is S, the sum of its
-    masses m, ``flog`` is F, the sum of f(m) = m*ln(m), and ``count`` is its
-    support size; ``nr`` holds each union's float Nr. The kernel's sum of
-    (s/Nr)*ln(Nr/s) is (S_u*ln(Nr) - F_u)/Nr, and as f(0) = 0, F_u = F_o + D_ao
-    with D_ao the sum over cols of f(m_a + m_o) - f(m_o): the score is
-    (S_u*ln(Nr) - F_o - D_ao)/Nr, S_u = S_a + S_o. Masses are integers, so
-    Nr >= 2 and all these terms are >= 0. A rounded term is off by a few u
-    times its operands, u the unit roundoff, and a sum of k terms by k*u
-    times their sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3-4). D_ao's operands add up to at most D_ao + 2*F_o; with K =
-    |supp a| + |supp o| + 16 (16 per term's conversions, log and products)
-    the score is off by at most K*u*(S_u*ln(Nr) + 3*F_o + D_ao)/Nr, and the
-    kernel by 1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs u*s/Nr and
-    Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 2*F_u)/Nr covers both.
+    ``nr`` holds each union's float Nr. The kernel's sum of (s/Nr)*ln(Nr/s)
+    is (S_u*ln(Nr) - F_u)/Nr, S_u = S_a + S_o, and F_u = F_a + F_o + G_ao,
+    where G_ao sums f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o
+    share: a pair that shares no block scores in closed form. G is read, one
+    log per entry, from the entries of the blocks in a's support,
+    BATCH_ENTRIES entries per batch (:func:`_batches`), and summed per owning
+    slot; a's own and dead entries land on slots that are not scored. With
+    ``above``, before any merge, only the entries after a's own in each block
+    are read: slots are elements then, which ascend in a block, so these are
+    the entries of the slots above a. Masses are integers, so Nr >= 2 and
+    all these terms are >= 0. A rounded term is off by a few u times its
+    operands, u the unit roundoff, and a sum of k terms by k*u times their
+    sum (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3-4).
+    G's operands add up to at most F_u + F_a + F_o <= 2*F_u; with
+    K = |supp a| + |supp o| + 16 (16 per term's conversions, log and
+    products) the score is off by at most K*u*(S_u*ln(Nr) + 3*F_u)/Nr, and
+    the kernel by 1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs
+    u*s/Nr and Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 3*F_u)/Nr covers both.
     """
-    ma, mo = mass[a, cols], mass[np.ix_(o, cols)]
-    t = _xlogx(ma + mo)
-    t -= _xlogx(mo)
-    d = t.sum(axis=1)
-    s, lnr = total[a] + total[o], np.log(nr)
-    err = 4 * (count[a] + count[o] + 16) * _UNIT_ROUNDOFF * (s * lnr + 2 * (flog[o] + d)) / nr
-    return (s * lnr - flog[o] - d) / nr, err
+    p = slots.pos[a]
+    j = slots.blk[p]
+    start = p + 1 if above else slots.ptr[j]
+    j += 1
+    lens = slots.ptr[j]
+    lens -= start
+    cum = np.cumsum(lens)
+    start += lens
+    start -= cum  # entry k of the gather, in block i, is start[i] + k
+    g = np.zeros(len(slots.total))
+    for lo, hi in _batches(cum):
+        k = lens[lo:hi]
+        e = np.arange(cum[lo] - k[0], cum[hi - 1]) + np.repeat(start[lo:hi], k)
+        x = np.repeat(slots.mass[p[lo:hi]], k).astype(float)
+        x += slots.mass[e]  # in floats: a's own entries may pass int64
+        t = np.log(x)  # x >= 1, as each of a's masses is
+        t *= x
+        t -= np.repeat(slots.f[p[lo:hi]], k)
+        t -= slots.f[e]
+        g += np.bincount(slots.owner[e], t, len(g))
+    sl = (slots.total[a] + slots.total[o]) * np.log(nr)
+    fu = slots.flog[a] + slots.flog[o] + g[o]
+    err = (slots.count[o] + (slots.count[a] + 16)) * (4 * _UNIT_ROUNDOFF) * (sl + 3 * fu) / nr
+    return (sl - fu) / nr, err
 
 
 def gea(g: FeatureAllocation) -> Dendrogram:
@@ -127,11 +230,16 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     the contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
     least. A merge evaluates the contenders that have no kernel value yet
     in one kernel call (more only when it would pass BATCH_ENTRIES scanned
-    scores or masses) and keeps those values until a merge rescores their
-    pairs. Working memory is 9*n**2 + 8*n*B + 56*n bytes (scores and which
-    of them are kernel values; masses of B blocks; per slot its size,
-    reference mass, two row minima, S, F and support size)
-    + ~64*BATCH_ENTRIES for the batches.
+    scores or union-row masses) and keeps those values until a merge
+    rescores their pairs. Working memory is at most about
+    9*n**2 + 80*nnz + 112*B + 200*n + 128*BATCH_ENTRIES bytes: scores and
+    which of them are kernel values; per entry its block, owner, mass, f
+    and position, and as much again while they are built or compacted; per
+    block its pointer and, once one union row passes BATCH_ENTRIES masses,
+    that dense row and the kernel's temporaries on it; per slot its size,
+    reference mass, two row minima, S, F, support size and position list;
+    and the batches of gathered entries, scanned scores and union rows. No
+    array has n*B entries.
     """
     n = g.n
     if n < 1:
@@ -139,12 +247,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     if n == 1:
         return Dendrogram(1, g.r_scaled, ())
 
-    # slot i: mass row, size (0 once retired), node id, heights row/column
-    mass = np.zeros((n, max(len(g.sizes), 1)), dtype=np.int64)
-    mass[g.elems, np.repeat(np.arange(len(g.sizes)), g.indptr[1:] - g.indptr[:-1])] = g.weights
-    count = np.bincount(g.elems, minlength=n)  # |supp|
-    total = np.bincount(g.elems, g.weights.astype(float), n)  # S
-    flog = np.bincount(g.elems, _xlogx(g.weights), n)  # F
+    # slot i: entries, size (0 once retired), node id, heights row/column
+    slots = _Slots(g)
     size = np.ones(n, dtype=np.int64)
     ref = np.array([float(c * g.r_scaled) for c in range(n + 1)])  # exact int c*r, rounded once
     node = list(range(n))
@@ -154,26 +258,23 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
     beta = 0.0  # largest error bound of any score so far
 
-    def fill(a, others):
-        # slot a's union scores with others, BATCH_ENTRIES gathered masses per call
+    def fill(a, o, above=False):
+        # slot a's union scores with the slots o
         nonlocal beta
-        cols = np.flatnonzero(mass[a])  # slot a's support
-        rows = max(1, BATCH_ENTRIES // max(len(cols), 1))
-        for i in range(0, len(others), rows):
-            o = others[i : i + rows]
-            h, err = union_scores(mass, cols, a, o, total, flog, count, ref[size[o] + size[a]])
+        if len(o):
+            h, err = union_scores(slots, a, o, ref[size[o] + size[a]], above)
             heights[np.minimum(o, a), np.maximum(o, a)] = h
             beta = max(beta, err.max())
 
     def canonical(r, c):
         # information_sum of the unions of slots r[i] and c[i], BATCH_ENTRIES masses per call
-        k = max(1, BATCH_ENTRIES // mass.shape[1])
+        k = max(1, BATCH_ENTRIES // max(len(g.sizes), 1))
         parts = [(r[i : i + k], c[i : i + k]) for i in range(0, len(r), k)]
-        return np.concatenate([information_sum(mass[x] + mass[y], ref[size[x] + size[y]])
+        return np.concatenate([information_sum(slots.union_rows(x, y), ref[size[x] + size[y]])
                                for x, y in parts])
 
     for a in range(n - 1):
-        fill(a, np.arange(a + 1, n))
+        fill(a, np.arange(a + 1, n), True)
     low = heights.min(axis=1)  # each row's minimum
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()
@@ -200,9 +301,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         # rescan row a and the rows whose minimum was in column a or b; others compare column a
         hit = (low == heights[:, a]) | (low == heights[:, b])
         stale = np.append(np.flatnonzero(hit & (low < np.inf)), a)
-        mass[a] += mass[b]
-        m = mass[a][mass[a] > 0]
-        total[a], flog[a], count[a] = m.astype(float).sum(), _xlogx(m).sum(), len(m)
+        slots.merge(a, b)
+        slots.compact()
         size[a], size[b] = size[a] + size[b], 0
         merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), int(size[a])))
         node[a] = n + step
@@ -211,7 +311,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         fill(a, np.flatnonzero((size > 0) & (np.arange(n) != a)))
         low[:a] = np.minimum(low[:a], heights[:a, a])
         fresh[:a] = np.minimum(fresh[:a], heights[:a, a])
-        low[stale] = heights[stale].min(axis=1)
+        for s in (stale[i : i + k] for i in range(0, len(stale), k)):
+            low[s] = heights[s].min(axis=1)
         fresh[a] = low[a]
 
     if merges[-1].size != n:

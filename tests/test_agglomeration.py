@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -184,23 +185,41 @@ def test_engine_matches_full_scan_reference_at_larger_n():
         assert merges == full_scan_gea(g)
 
 
+def dense_slot_rows(slots):
+    """Every slot's block masses as one dense row, added up from the entry
+    arrays (owner, block, mass) alone."""
+    rows = np.zeros((len(slots.pos), max(len(slots.ptr) - 1, 1)), dtype=np.int64)
+    np.add.at(rows, (slots.owner, slots.blk), slots.mass)
+    return rows
+
+
 def recorded_scores(monkeypatch, noise_seed=None):
     """Route gea()'s score calls through a wrapper that checks every score is
-    within its bound of information_sum over the dense union rows; returns,
-    per call, the rows scored and the columns gathered. With ``noise_seed``,
-    every score moves by a seeded draw within half its bound."""
-    calls, real = [], agglomeration.union_scores
+    within its bound of information_sum over dense union rows built from the
+    entry arrays; returns, per call, the rows scored, the entries of slot a's
+    blocks and, per gathered batch, its entries and blocks. With
+    ``noise_seed``, every score moves by a seeded draw within half its bound."""
+    calls, batches = [], []
+    real_scores, real_batches = agglomeration.union_scores, agglomeration._batches
     noise = None if noise_seed is None else np.random.default_rng(noise_seed)
 
-    def recording(mass, cols, a, o, total, flog, count, nr):
-        h, err = real(mass, cols, a, o, total, flog, count, nr)
-        assert (np.abs(h - information_sum(mass[o] + mass[a], nr)) <= err).all()
-        calls.append((len(o), len(cols)))
+    def batching(cum):
+        bounds = real_batches(cum)
+        batches.append([(int(cum[hi - 1] - (cum[lo - 1] if lo else 0)), hi - lo) for lo, hi in bounds])
+        return bounds
+
+    def recording(slots, a, o, nr, *rest):
+        h, err = real_scores(slots, a, o, nr, *rest)
+        rows = dense_slot_rows(slots)
+        assert (np.abs(h - information_sum(rows[o] + rows[a], nr)) <= err).all()
+        blocks = len(slots.ptr) - 1
+        calls.append((len(o), int(np.diff(slots.ptr) @ (rows[a, :blocks] > 0)), batches.pop()))
         if noise is not None:
             h = h + noise.uniform(-0.5, 0.5, len(h)) * err
         return h, err
 
     monkeypatch.setattr(agglomeration, "union_scores", recording)
+    monkeypatch.setattr(agglomeration, "_batches", batching)
     return calls
 
 
@@ -219,18 +238,24 @@ def counted_kernel(monkeypatch):
 
 @pytest.mark.parametrize("width, per_call", [(BATCH_ENTRIES // 2 + 1, 1), (BATCH_ENTRIES // 3, 3)])
 def test_score_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_call):
-    # every element holds all ``width`` blocks: one row per call when a row
-    # alone takes over half the budget; with 3 rows per call the fills of 4
-    # and 2 other slots end on a partial batch. Every pair is scored at the
-    # start, every live pair again after a merge.
+    # every element holds all ``width`` blocks, with one seeded weight per
+    # block, so all pairs tie at every step: a score call reads its blocks'
+    # entries in batches of at most BATCH_ENTRIES (several per call here),
+    # and a kernel call holds at most BATCH_ENTRIES // width = ``per_call``
+    # pairs. Every pair is scored at the start, every live pair again after
+    # a merge.
     rng = random.Random(width)
     n = 5
-    g = scaled_allocation(n, [{e: rng.randint(1, 3 * fp.SCALE) for e in range(n)} for _ in range(width)])
-    calls = recorded_scores(monkeypatch)
+    g = scaled_allocation(n, [dict.fromkeys(range(n), rng.randint(1, 3 * fp.SCALE)) for _ in range(width)])
+    calls, rows = recorded_scores(monkeypatch), counted_kernel(monkeypatch)
     d = gea(g)
-    assert set(calls) <= {(k, width) for k in range(1, per_call + 1)}
-    assert max(k for k, _ in calls) == per_call
-    assert sum(k for k, _ in calls) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
+    for _, entries, batches in calls:
+        assert all(k <= BATCH_ENTRIES or blocks == 1 for k, blocks in batches)
+        assert sum(k for k, _ in batches) <= entries
+        assert sum(blocks for _, blocks in batches) == width  # slot a's support
+    assert max(len(batches) for _, _, batches in calls) > 1
+    assert sum(k for k, _, _ in calls) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
+    assert max(rows) == per_call
     members = {i: (i,) for i in range(n)}
     for t, m in enumerate(d.merges):
         members[n + t] = members[m.left] + members[m.right]
@@ -240,7 +265,8 @@ def test_score_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_cal
 
 def test_score_calls_gather_the_slot_support_not_every_block(monkeypatch):
     # over BATCH_ENTRIES blocks, yet each element holds about 1/13 of them:
-    # a call gathers only slot a's blocks, so it scores many rows at once
+    # a call reads only the entries of slot a's blocks, in batches within the
+    # budget, and scores every other live slot at once
     rng = random.Random(42)
     n = 20
     blocks = [{e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(n), rng.randint(1, 2))}
@@ -248,8 +274,10 @@ def test_score_calls_gather_the_slot_support_not_every_block(monkeypatch):
     g = scaled_allocation(n, blocks)
     calls = recorded_scores(monkeypatch)
     d = gea(g)
-    assert all(k * p <= BATCH_ENTRIES or k == 1 for k, p in calls)
-    assert max(k for k, p in calls if p * 10 < len(blocks)) >= 10
+    for _, entries, batches in calls:
+        assert all(k <= BATCH_ENTRIES or b == 1 for k, b in batches)
+        assert sum(k for k, _ in batches) <= entries
+    assert max(k for k, entries, _ in calls if entries * 5 < len(g.elems)) >= 10
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
@@ -307,6 +335,80 @@ def test_contender_calls_split_at_the_batch_budget_in_pair_order(monkeypatch):
     assert rows[: -(-pairs // per_call)] == [per_call] * (pairs // per_call) + [pairs % per_call]
     assert len({m.height for m in d.merges[: n // 2]}) > 1
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
+
+
+def assert_slots_consistent(slots, live):
+    """Each live slot lists its own entries, one per block of its support, in
+    block order, with positive masses, S, F and support size to match; dead
+    entries are empty, and no retired slot owns a live entry."""
+    assert np.array_equal(slots.blk, np.repeat(np.arange(len(slots.ptr) - 1), np.diff(slots.ptr)))
+    listed = np.zeros(len(slots.mass), dtype=bool)
+    for s in np.flatnonzero(live):
+        p = slots.pos[s]
+        assert (slots.owner[p] == s).all() and (np.diff(slots.blk[p]) > 0).all()
+        assert (slots.mass[p] > 0).all() and slots.count[s] == len(p)
+        assert slots.total[s] == slots.mass[p].astype(float).sum() and slots.flog[s] == slots.f[p].sum()
+        listed[p] = True
+    assert (slots.mass[~listed] == 0).all() and (slots.f[~listed] == 0).all()
+    assert len(slots.mass) - listed.sum() >= slots.dead
+
+
+def test_dead_entries_compact_and_merges_match_full_scan(monkeypatch):
+    # all alike, a merge kills the absorbed slot's 4 entries; scattered
+    # duplicate rows kill whole rows too: both compact several times. In the
+    # third input elements 6..9 hold no block, so slot a's support is empty
+    # when two of them merge, and so is a merge with no partner left
+    n = 64
+    alike = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), 1) for _ in range(4)])
+    rng = random.Random(0)
+    profiles = [[rng.random() < 0.5 for _ in range(8)] for _ in range(6)]
+    picks = [rng.randrange(6) for _ in range(60)]
+    scattered = FeatureAllocation.from_weights(
+        60, [b for b in ({e: 1 for e in range(60) if profiles[picks[e]][j]} for j in range(8)) if b])
+    sparse = parse_allocation_text("n=10 r=1.0\n1 2:2 3\n2 4:0.5\n5 6 1:3\n6\n")
+    real_merge, real_compact = agglomeration._Slots.merge, agglomeration._Slots.compact
+    live, shrunk = np.ones(0, dtype=bool), []
+
+    def merging(slots, a, b):
+        real_merge(slots, a, b)
+        live[b] = False
+
+    def compacting(slots):
+        before = len(slots.mass)
+        real_compact(slots)
+        shrunk.append(before - len(slots.mass))
+        if shrunk[-1]:
+            assert slots.dead == 0 and (slots.mass > 0).all()
+        assert_slots_consistent(slots, live)
+
+    monkeypatch.setattr(agglomeration._Slots, "merge", merging)
+    monkeypatch.setattr(agglomeration._Slots, "compact", compacting)
+    for g, compactions in ((alike, 5), (scattered, 2), (sparse, 1)):
+        live, shrunk = np.ones(g.n, dtype=bool), []
+        merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
+        assert merges == full_scan_gea(g)
+        assert sum(k > 0 for k in shrunk) >= compactions
+
+
+def test_engine_memory_follows_nnz():
+    # 100 elements in 50,000 blocks of 2 (nnz 100,000): a dense n-by-B mass
+    # matrix alone would take 40 MB; the peak must stay within the working
+    # memory that gea()'s docstring states
+    rng = np.random.default_rng(7)
+    n, blocks = 100, 50_000
+    first = rng.integers(0, n, blocks)
+    second = (first + rng.integers(1, n, blocks)) % n
+    elems = np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1).ravel()
+    weights = rng.integers(1, 4 * fp.SCALE, 2 * blocks)
+    g = FeatureAllocation(n, np.arange(0, 2 * blocks + 1, 2), elems, weights, fp.SCALE)
+    tracemalloc.start()
+    try:
+        d = gea(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.merges[-1].size == n
+    assert peak < 9 * n**2 + 80 * len(elems) + 112 * blocks + 200 * n + 128 * BATCH_ENTRIES
 
 
 WEIGHT = st.integers(1, 50) | st.just(None)  # None: near the block-size limit
