@@ -96,7 +96,7 @@ class _Slots:
     of slot ``owner[e]`` and ``f[e]`` = f(mass[e]); ``pos[s]`` lists slot s's
     entries in block order, one per block of its support. Per slot, ``total``
     is S, ``flog`` is F and ``count`` the support size. An entry that a merge
-    empties is dead, mass and f 0, until dead entries are half the array."""
+    empties is dead, mass and f 0, until :meth:`compact` drops it."""
 
     def __init__(self, g: FeatureAllocation):
         n, self.dead = g.n, 0
@@ -130,7 +130,8 @@ class _Slots:
         self.dead += len(eb)
 
     def compact(self) -> None:
-        """Drop the dead entries once they are half the array."""
+        """Drop the dead entries once they are half the array; called after
+        :meth:`merge` returns, so that its temporaries are freed first."""
         if 2 * self.dead >= len(self.mass):
             keep = self.mass > 0
             at = np.cumsum(keep) - 1  # a kept entry's new position
