@@ -15,20 +15,21 @@ of slots a and o, (S_u*ln(Nr) - F_a - F_o - G_ao)/Nr, is in closed form for
 every slot at once; only the correction G_ao, over the blocks a and o share,
 reads entries: those of the blocks in a's support, at most BATCH_ENTRIES per
 batch. A score is within its bound beta of the kernel's entropy. Each
-merge's contenders are the pairs scored
-within 2*beta + TIE_TOLERANCE of the least; :func:`information_sum`
-replaces the score of each contender that has no kernel value yet, and that
-value stays until a merge rescores the pair. A second row cache, a lower
-bound on each row's least score without a kernel value that a scan of the
-row makes exact, limits the search for such contenders, so pairs that tie
-merge after merge are evaluated and scanned once. The least tied pair is
-then read from the row minima, and its value is the merge height. A merge
-keeps the union in the lower of its two slots, so slot i always holds the
-cluster whose least element is i. It moves the other slot's entries over
-(adding those in shared blocks, which die), retires that slot (inf row and
-column) and rescores the kept slot's pairs. The kept row and rows whose
-minimum was in a merged column are rescanned; the others compare one new
-entry.
+merge's contenders are the pairs scored within 2*beta + TIE_TOLERANCE of
+the least. A lone contender merges at once: the kernel could not change the
+decision (see :func:`gea`). Otherwise :func:`information_sum` replaces the
+score of each contender that has no kernel value yet, and that value stays
+until a merge rescores the pair. A second row cache, a lower bound on each
+row's least score without a kernel value that a scan of the row makes
+exact, limits the search for such contenders, so pairs that tie merge
+after merge are evaluated and scanned once. The least tied pair is then
+read from the row minima. A merge keeps the union in the lower of its two
+slots, so slot i always holds the cluster whose least element is i. It
+moves the other slot's entries over (adding those in shared blocks, which
+die), retires that slot (inf row and column) and rescores the kept slot's
+pairs. The merge height is the kernel's value on the kept slot's masses.
+The kept row and rows whose minimum was in a merged column are rescanned;
+the others compare one new entry.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ class _Slots:
         p, old = np.empty(len(pa) + len(new), pa.dtype), np.ones(len(pa) + len(new), bool)
         p[at], old[at] = new, False
         p[old] = pa
-        self.pos[a], self.pos[b] = p, pb[:0]
+        self.pos[a], self.pos[b] = p, pb[:0].copy()  # a view would keep all of pb
         self.total[a], self.flog[a], self.count[a] = self.mass[p].astype(float).sum(), self.f[p].sum(), len(p)
         self.dead += len(eb)
 
@@ -226,13 +227,22 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     subset's own element count and the allocation's recurrence base. The
     merge with minimal entropy wins; near-exact ties (within ``TIE_TOLERANCE``)
     go to the union whose sorted element ids compare least: the least tied
-    (row, column) slot pair. Decisions and heights use :func:`information_sum`
-    values: the decomposed scores, each within its bound beta, only select
-    the contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
-    least. A merge evaluates the contenders that have no kernel value yet
-    in one kernel call (more only when it would pass BATCH_ENTRIES scanned
-    scores or union-row masses) and keeps those values until a merge
-    rescores their pairs. Working memory is at most about
+    (row, column) slot pair. Decisions use :func:`information_sum` values:
+    the decomposed scores, each within its bound beta, only select the
+    contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
+    least. A lone contender wins without the kernel. The least entry is
+    exact, so its pair's entropy is at most least + beta and every other
+    pair's entropy is above least + 2*beta + TIE_TOLERANCE - beta; the lone
+    pair is thus below every other by more than TIE_TOLERANCE, and the tie
+    rule picks it whatever the kernel's values are. Otherwise a merge
+    evaluates the contenders that have no kernel value yet in one kernel
+    call (more only when it would pass BATCH_ENTRIES scanned scores or
+    union-row masses) and keeps those values until a merge rescores their
+    pairs. Each height is one kernel call on the merged slot's masses in
+    block order: they are the positive entries of the union's dense row in
+    the same order, and the kernel sums them left to right, so the height
+    is bit-equal to :func:`subset_entropy` and to the winner's contender
+    value. Working memory is at most about
     9*n**2 + 80*nnz + 112*B + 200*n + 128*BATCH_ENTRIES bytes: scores and
     which of them are kernel values; per entry its block, owner, mass, f
     and position, and as much again while they are built or compacted; per
@@ -280,22 +290,29 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()
     merges = []
+    k = max(1, BATCH_ENTRIES // n)
     for step in range(n - 1):
         # contenders: each score is within beta of its entropy, so these hold every
         # pair whose entropy may lie within TIE_TOLERANCE of the least
         band = low.min() + 2 * beta + TIE_TOLERANCE
-        near, k = np.flatnonzero(fresh <= band), max(1, BATCH_ENTRIES // n)
-        for s in (near[i : i + k] for i in range(0, len(near), k)):
-            h = heights[s]
-            i, c = np.nonzero((h <= band) & ~exact[s])
-            if len(i):  # a kernel value stays until a merge rescores its pair
-                h[i, c] = heights[s[i], c] = canonical(s[i], c)
-                exact[s[i], c] = True
-            low[s] = h.min(axis=1)
-            h[exact[s]] = np.inf
-            fresh[s] = h.min(axis=1)
-        # every pair within TIE_TOLERANCE of the least now holds its kernel value; slot
-        # indices are least elements, so the least tied union is the first tied row and column
+        near = np.flatnonzero(low <= band)
+        # a lone contender's entropy is at most least + beta and every other pair's above
+        # least + beta + TIE_TOLERANCE, so it wins whatever the kernel says
+        if len(near) > 1 or np.count_nonzero(heights[near[0]] <= band) > 1:
+            near = np.flatnonzero(fresh <= band)
+            for s in (near[i : i + k] for i in range(0, len(near), k)):
+                h = heights[s]
+                i, c = np.nonzero((h <= band) & ~exact[s])
+                if len(i):  # a kernel value stays until a merge rescores its pair
+                    h[i, c] = heights[s[i], c] = canonical(s[i], c)
+                    exact[s[i], c] = True
+                low[s] = h.min(axis=1)
+                h[exact[s]] = np.inf
+                fresh[s] = h.min(axis=1)
+            h = None  # else the lone merges that may follow keep the last batch alive
+        # every pair within TIE_TOLERANCE of the least now holds its kernel value, or is the
+        # lone contender; slot indices are least elements, so the least tied union is the
+        # first tied row and column
         band = low.min() + TIE_TOLERANCE
         a = int(np.argmax(low <= band))
         b = int(np.argmax(heights[a] <= band))
@@ -305,7 +322,9 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         slots.merge(a, b)
         slots.compact()
         size[a], size[b] = size[a] + size[b], 0
-        merges.append(Merge(*sorted((node[a], node[b])), float(heights[a, b]), int(size[a])))
+        # the union's positive masses in block order, as its dense row gives them
+        height = information_sum(slots.mass[slots.pos[a]][None], ref[size[a] : size[a] + 1])
+        merges.append(Merge(*sorted((node[a], node[b])), float(height[0]), int(size[a])))
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
         exact[a, :] = exact[:, a] = False

@@ -281,21 +281,111 @@ def test_score_calls_gather_the_slot_support_not_every_block(monkeypatch):
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
+def split_kernel_calls(monkeypatch):
+    """Route gea()'s kernel calls through a wrapper that tells contender
+    calls, on rows from ``_Slots.union_rows``, from height calls. Returns
+    the contender calls as (merges made before the call, rows), the height
+    calls' mass shapes, and per merge the winner's latest contender value
+    (None when the pair has none since either slot last merged)."""
+    contender, height, won, values, built = [], [], [], {}, []
+    real_rows, real_merge = agglomeration._Slots.union_rows, agglomeration._Slots.merge
+
+    def rows(slots, x, y):
+        built.append((real_rows(slots, x, y), x.tolist(), y.tolist()))
+        return built[-1][0]
+
+    def counting(mass, ref):
+        h = information_sum(mass, ref)
+        pairs = next(((x, y) for d, x, y in built if d is mass), None)
+        if pairs is None:
+            height.append(mass.shape)
+        else:
+            contender.append((len(won), len(mass)))
+            values.update(zip(zip(*pairs), h.tolist()))
+        return h
+
+    def merging(slots, a, b):
+        won.append(values.get((a, b)))
+        for pair in [p for p in values if {a, b} & set(p)]:
+            del values[pair]
+        real_merge(slots, a, b)
+
+    monkeypatch.setattr(agglomeration._Slots, "union_rows", rows)
+    monkeypatch.setattr(agglomeration._Slots, "merge", merging)
+    monkeypatch.setattr(agglomeration, "information_sum", counting)
+    return contender, height, won
+
+
+def tie_heavy_inputs():
+    """64 elements that all hold the same 4 blocks, and 60 elements that
+    each take one of 6 seeded profiles over 8 blocks (scattered duplicate
+    rows)."""
+    n = 64
+    alike = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), 1) for _ in range(4)])
+    rng = random.Random(0)
+    profiles = [[rng.random() < 0.5 for _ in range(8)] for _ in range(6)]
+    picks = [rng.randrange(6) for _ in range(60)]
+    scattered = FeatureAllocation.from_weights(
+        60, [b for b in ({e: 1 for e in range(60) if profiles[picks[e]][j]} for j in range(8)) if b])
+    return alike, scattered
+
+
+def union_support(g, members):
+    """The number of blocks in which some element of ``members`` holds mass."""
+    return len(np.unique(np.repeat(np.arange(len(g.sizes)), np.diff(g.indptr))[np.isin(g.elems, members)]))
+
+
 def test_each_merge_makes_one_canonical_call_on_its_new_contenders(monkeypatch):
     # every union has the same per-block ratios, so every live pair is a
     # contender at every step, but only the first step and the merged slot's
     # rescored pairs need the kernel; with margins far above every bound,
-    # only the winner is a contender
+    # only the winner is a contender, and it merges without the kernel, as
+    # does the last live pair of the tied input. Every merge makes one height
+    # call on the merged slot's support alone
     n = 25
     tied = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), w) for w in (1, 2, 0.3)])
     rng = random.Random(8)
     clear = next(g for g in (random_allocation(rng, min_n=12, max_n=12) for _ in range(100))
                  if naive_decision_margin(g) > 1e-6)
-    for g, contenders in ((tied, lambda t: n - t - 1 if t else n * (n - 1) // 2), (clear, lambda t: 1)):
-        rows = counted_kernel(monkeypatch)
+    for g, contenders in ((tied, [(t, n - t - 1 if t else n * (n - 1) // 2) for t in range(n - 2)]),
+                          (clear, [])):
+        contender, height, _ = split_kernel_calls(monkeypatch)
         d = gea(g)
-        assert rows == [contenders(t) for t in range(g.n - 1)]
+        assert contender == contenders
+        members = {i: (i,) for i in range(g.n)}
+        for t, m in enumerate(d.merges):
+            members[g.n + t] = members[m.left] + members[m.right]
+        assert height == [(1, union_support(g, members[g.n + t])) for t in range(g.n - 1)]
         assert engine_members(d) == naive_gea_members(g)
+    assert min(w for _, w in height) < len(clear.sizes)  # never B columns
+
+
+def test_lone_contenders_merge_without_the_kernel_and_contested_heights_are_canonical(monkeypatch):
+    # with every decision margin far above the bounds, each merge has one
+    # contender and makes no contender call; when all elements are alike or
+    # share a few profiles, merges are contested until the last one or the
+    # last six, and a contested height, taken from the merged slot, is
+    # bit-equal to the winner's contender value
+    rng, checked = random.Random(15), 0
+    while checked < 50:
+        g = random_allocation(rng, min_n=3, max_n=12, max_blocks=12)
+        if naive_decision_margin(g) <= 1e-6:
+            continue
+        contender, height, _ = split_kernel_calls(monkeypatch)
+        d = gea(g)
+        assert contender == [] and len(height) == g.n - 1
+        assert engine_members(d) == naive_gea_members(g)
+        members = {i: (i,) for i in range(g.n)}
+        for t, m in enumerate(d.merges):
+            members[g.n + t] = members[m.left] + members[m.right]
+            assert m.height == subset_entropy(g, members[g.n + t])
+        checked += 1
+    for g, lone in zip(tie_heavy_inputs(), (1, 6)):
+        _, _, won = split_kernel_calls(monkeypatch)
+        merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
+        assert [w is None for w in won] == [False] * (g.n - 1 - lone) + [True] * lone
+        assert [m[2] for m in merges[:-lone]] == won[:-lone]
+        assert merges == full_scan_gea(g)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -358,13 +448,7 @@ def test_dead_entries_compact_and_merges_match_full_scan(monkeypatch):
     # duplicate rows kill whole rows too: both compact several times. In the
     # third input elements 6..9 hold no block, so slot a's support is empty
     # when two of them merge, and so is a merge with no partner left
-    n = 64
-    alike = FeatureAllocation.from_weights(n, [dict.fromkeys(range(n), 1) for _ in range(4)])
-    rng = random.Random(0)
-    profiles = [[rng.random() < 0.5 for _ in range(8)] for _ in range(6)]
-    picks = [rng.randrange(6) for _ in range(60)]
-    scattered = FeatureAllocation.from_weights(
-        60, [b for b in ({e: 1 for e in range(60) if profiles[picks[e]][j]} for j in range(8)) if b])
+    alike, scattered = tie_heavy_inputs()
     sparse = parse_allocation_text("n=10 r=1.0\n1 2:2 3\n2 4:0.5\n5 6 1:3\n6\n")
     real_merge, real_compact = agglomeration._Slots.merge, agglomeration._Slots.compact
     live, shrunk = np.ones(0, dtype=bool), []
