@@ -14,7 +14,10 @@ union scores, with each row's minimum cached. A score (:func:`union_scores`)
 of slots a and o, (S_u*ln(Nr) - F_a - F_o - G_ao)/Nr, is in closed form for
 every slot at once; only the correction G_ao, over the blocks a and o share,
 reads entries: those of the blocks in a's support, at most BATCH_ENTRIES per
-batch. A score is within its bound beta of the kernel's entropy. Each
+batch. The first scores, of every pair of elements, are taken for groups of
+consecutive rows at once, one bincount of corrections per group; each merge
+then rescores its kept slot alone, the one-row case of the same function.
+A score is within its bound beta of the kernel's entropy. Each
 merge's contenders are the pairs scored within 2*beta + TIE_TOLERANCE of
 the least. A lone contender merges at once: the kernel could not change the
 decision (see :func:`gea`). Otherwise :func:`information_sum` replaces the
@@ -159,42 +162,51 @@ class _Slots:
         return d[row[x]] + d[row[y]]
 
 
-def _batches(cum: np.ndarray) -> list[tuple[int, int]]:
-    """Bounds (lo, hi) of consecutive runs of blocks, with entry counts
-    summing to ``cum``, that hold at most BATCH_ENTRIES entries in all, or
-    one block."""
+def _batches(cum: np.ndarray, budget: int = BATCH_ENTRIES, most: int | None = None):
+    """Bounds (lo, hi) of consecutive runs of items (blocks, or rows), with
+    entry counts summing to ``cum``, that hold at most ``budget`` entries and
+    at most ``most`` items in all, or one item."""
     lo, out = 0, []
     while lo < len(cum):
-        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + BATCH_ENTRIES, "right"))
-        out.append((lo, max(hi, lo + 1)))
+        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget, "right"))
+        out.append((lo, max(hi if most is None else min(hi, lo + most), lo + 1)))
         lo = out[-1][1]
     return out
 
 
-def union_scores(slots: _Slots, a: int, o: np.ndarray, nr: np.ndarray, above: bool = False):
-    """Scores of the unions of slot a with the slots ``o``, and a bound on
-    each score's distance from :func:`information_sum`'s value.
-
-    ``nr`` holds each union's float Nr. The kernel's sum of (s/Nr)*ln(Nr/s)
+def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np.ndarray,
+                 above: bool = False) -> np.ndarray:
+    """Scores of the unions of each slot of the slice ``a`` (the rows) with
+    each slot ``o[k]``, written to ``out``; returns each score's bound on
+    its distance from :func:`information_sum`'s value, 0 where nothing is
+    scored. ``out``, contiguous, and ``nr``, each union's float Nr, hold one
+    row per slot of ``a``, or may be flat when ``a`` is one slot.
+ The kernel's sum of (s/Nr)*ln(Nr/s)
     is (S_u*ln(Nr) - F_u)/Nr, S_u = S_a + S_o, and F_u = F_a + F_o + G_ao,
     where G_ao sums f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o
     share: a pair that shares no block scores in closed form. G is read, one
-    log per entry, from the entries of the blocks in a's support,
-    BATCH_ENTRIES entries per batch (:func:`_batches`), and summed per owning
-    slot; a's own and dead entries land on slots that are not scored. With
-    ``above``, before any merge, only the entries after a's own in each block
-    are read: slots are elements then, which ascend in a block, so these are
-    the entries of the slots above a. Masses are integers, so Nr >= 2 and
-    all these terms are >= 0. A rounded term is off by a few u times its
-    operands, u the unit roundoff, and a sum of k terms by k*u times their
-    sum (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3-4).
-    G's operands add up to at most F_u + F_a + F_o <= 2*F_u; with
-    K = |supp a| + |supp o| + 16 (16 per term's conversions, log and
-    products) the score is off by at most K*u*(S_u*ln(Nr) + 3*F_u)/Nr, and
-    the kernel by 1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs
-    u*s/Nr and Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 3*F_u)/Nr covers both.
+    log per entry, from the entries of the blocks in each row's support,
+    BATCH_ENTRIES entries per batch (:func:`_batches`), and summed per row
+    and owning slot with one bincount per batch, in block order within each
+    pair; a row's own and dead entries land on slots that are not scored.
+    With ``above``, before any merge, only the entries after a row's own in
+    each block are read: slots are elements then, which ascend in a block,
+    so these are the entries of the slots above the row, and only those
+    pairs are scored (inf and bound 0 on and below the diagonal). Masses
+    are integers, so Nr >= 2 and all these terms are >= 0. A rounded term
+    is off by a few u times its operands, u the unit roundoff, and a sum of
+    k terms by k*u times their sum (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4). G's operands add up to at most
+    F_u + F_a + F_o <= 2*F_u; with K = |supp a| + |supp o| + 16 (16 per
+    term's conversions, log and products) the score is off by at most
+    K*u*(S_u*ln(Nr) + 3*F_u)/Nr, and the kernel by
+    1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs u*s/Nr and
+    Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 3*F_u)/Nr covers both. Each
+    pair's terms and their order are the same however many rows a call
+    scores, so are its score and bound, bit for bit.
     """
-    p = slots.pos[a]
+    n, rows = len(slots.total), a.stop - a.start
+    p = slots.pos[a.start] if rows == 1 else np.concatenate(slots.pos[a])
     j = slots.blk[p]
     start = p + 1 if above else slots.ptr[j]
     j += 1
@@ -203,7 +215,9 @@ def union_scores(slots: _Slots, a: int, o: np.ndarray, nr: np.ndarray, above: bo
     cum = np.cumsum(lens)
     start += lens
     start -= cum  # entry k of the gather, in block i, is start[i] + k
-    g = np.zeros(len(slots.total))
+    if rows > 1:  # where the row of each of p's blocks starts in g
+        span = np.repeat(np.arange(0, rows * n, n), slots.count[a])
+    g = np.zeros(rows * n)
     for lo, hi in _batches(cum):
         k = lens[lo:hi]
         e = np.arange(cum[lo] - k[0], cum[hi - 1]) + np.repeat(start[lo:hi], k)
@@ -213,11 +227,22 @@ def union_scores(slots: _Slots, a: int, o: np.ndarray, nr: np.ndarray, above: bo
         t *= x
         t -= np.repeat(slots.f[p[lo:hi]], k)
         t -= slots.f[e]
-        g += np.bincount(slots.owner[e], t, len(g))
+        e = slots.owner[e]
+        if rows > 1:
+            e += np.repeat(span[lo:hi], k)
+        g += np.bincount(e, t, len(g))
+    if rows == 1:  # one row's arithmetic stays 1-D, on numpy's fast path
+        a, g, nr, out = a.start, g[o], nr.reshape(-1), out.reshape(-1)
+    else:
+        a, g = np.arange(a.start, a.stop)[:, None], g.reshape(rows, n)[:, o]
     sl = (slots.total[a] + slots.total[o]) * np.log(nr)
-    fu = slots.flog[a] + slots.flog[o] + g[o]
+    fu = slots.flog[a] + slots.flog[o] + g
     err = (slots.count[o] + (slots.count[a] + 16)) * (4 * _UNIT_ROUNDOFF) * (sl + 3 * fu) / nr
-    return (sl - fu) / nr, err
+    np.divide(sl - fu, nr, out=out)
+    if above:
+        below = o <= a
+        out[below], err[below] = np.inf, 0
+    return err
 
 
 def gea(g: FeatureAllocation) -> Dendrogram:
@@ -225,9 +250,13 @@ def gea(g: FeatureAllocation) -> Dendrogram:
 
     Every candidate union is scored by its projection entropy with the
     subset's own element count and the allocation's recurrence base. The
-    merge with minimal entropy wins; near-exact ties (within ``TIE_TOLERANCE``)
-    go to the union whose sorted element ids compare least: the least tied
-    (row, column) slot pair. Decisions use :func:`information_sum` values:
+    set-up scores every pair in groups of consecutive rows, one
+    :func:`union_scores` call per group that gathers at most
+    BATCH_ENTRIES // 4 entries into at most BATCH_ENTRIES // 4 scores (a
+    row over either budget is a group of its own); a merge rescores the
+    kept slot's pairs in one call. The merge with minimal entropy wins;
+    near-exact ties (within ``TIE_TOLERANCE``) go to the union whose sorted
+    element ids compare least: the least tied (row, column) slot pair. Decisions use :func:`information_sum` values:
     the decomposed scores, each within its bound beta, only select the
     contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
     least. A lone contender wins without the kernel. The least entry is
@@ -245,11 +274,13 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     value. Working memory is at most about
     9*n**2 + 80*nnz + 112*B + 200*n + 128*BATCH_ENTRIES bytes: scores and
     which of them are kernel values; per entry its block, owner, mass, f
-    and position, and as much again while they are built or compacted; per
+    and position, and as much again while they are built, counted into row
+    groups or compacted; per
     block its pointer and, once one union row passes BATCH_ENTRIES masses,
     that dense row and the kernel's temporaries on it; per slot its size,
     reference mass, two row minima, S, F, support size and position list;
-    and the batches of gathered entries, scanned scores and union rows. No
+    and the batches of gathered entries, scanned scores and union rows, and
+    the set-up's group grids of at most BATCH_ENTRIES // 4 scores. No
     array has n*B entries.
     """
     n = g.n
@@ -269,14 +300,6 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
     beta = 0.0  # largest error bound of any score so far
 
-    def fill(a, o, above=False):
-        # slot a's union scores with the slots o
-        nonlocal beta
-        if len(o):
-            h, err = union_scores(slots, a, o, ref[size[o] + size[a]], above)
-            heights[np.minimum(o, a), np.maximum(o, a)] = h
-            beta = max(beta, err.max())
-
     def canonical(r, c):
         # information_sum of the unions of slots r[i] and c[i], BATCH_ENTRIES masses per call
         k = max(1, BATCH_ENTRIES // max(len(g.sizes), 1))
@@ -284,8 +307,16 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         return np.concatenate([information_sum(slots.union_rows(x, y), ref[size[x] + size[y]])
                                for x, y in parts])
 
-    for a in range(n - 1):
-        fill(a, np.arange(a + 1, n), True)
+    # every pair's score, in groups of rows that gather at most BATCH_ENTRIES // 4
+    # entries (a row, those after its own in each of its blocks) into at most
+    # BATCH_ENTRIES // 4 scores, or one row; every union has two elements
+    after = slots.ptr[1:][slots.blk]
+    after -= np.arange(1, len(after) + 1)
+    cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1])
+    del after
+    for lo, hi in _batches(cum, BATCH_ENTRIES // 4, BATCH_ENTRIES // 4 // n):
+        nr = np.full((hi - lo, n), ref[2])
+        beta = max(beta, union_scores(slots, slice(lo, hi), np.arange(n), nr, heights[lo:hi], True).max())
     low = heights.min(axis=1)  # each row's minimum
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()
@@ -328,7 +359,11 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
         exact[a, :] = exact[:, a] = False
-        fill(a, np.flatnonzero((size > 0) & (np.arange(n) != a)))
+        o = np.flatnonzero((size > 0) & (np.arange(n) != a))
+        if len(o):  # rescore the kept slot's pairs
+            h = np.empty(len(o))
+            beta = max(beta, union_scores(slots, slice(a, a + 1), o, ref[size[o] + size[a]], h).max())
+            heights[np.minimum(o, a), np.maximum(o, a)] = h
         low[:a] = np.minimum(low[:a], heights[:a, a])
         fresh[:a] = np.minimum(fresh[:a], heights[:a, a])
         for s in (stale[i : i + k] for i in range(0, len(stale), k)):

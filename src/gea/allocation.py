@@ -156,8 +156,19 @@ def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocati
     # dtype, and each temporary goes as soon as it is used
     nblocks = len(starts) - 1
     blk = np.repeat(np.arange(nblocks, dtype=np.min_scalar_type(nblocks)), starts[1:] - starts[:-1])
-    order = np.lexsort((el, blk))  # by block, then element
-    el, w, blk = el[order], w[order], blk[order]
+    m = int(el.max(initial=0)) + 1
+    if nblocks * m <= 2**63:  # by block, then element: one key, built in place
+        key = blk.astype(np.int64)
+        key *= m
+        key += el
+        order = np.argsort(key, kind="stable")
+        # sorted elements go into the key's memory: a fresh array here raised the
+        # parse's peak RSS by 1 MiB on 140,008 tokens ("clip" takes no buffer)
+        el = np.take(el, order, out=key, mode="clip")
+    else:  # the key would pass int64
+        order = np.lexsort((el, blk))
+        el = el[order]
+    w, blk = w[order], blk[order]
     del order
     new = np.ones(len(el), dtype=bool)
     new[1:] = (el[1:] != el[:-1]) | (blk[1:] != blk[:-1])

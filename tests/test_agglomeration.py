@@ -26,7 +26,7 @@ from gea.agglomeration import (
     to_newick,
 )
 from gea.allocation import FeatureAllocation, parse_allocation_text
-from gea.categorize import CategorizationParams, categorize
+from gea.categorize import CategorizationParams, NumericDataset, categorize
 from gea.cli import parse_csv
 from gea.entropy import information_sum, subset_entropy
 
@@ -196,27 +196,33 @@ def dense_slot_rows(slots):
 def recorded_scores(monkeypatch, noise_seed=None):
     """Route gea()'s score calls through a wrapper that checks every score is
     within its bound of information_sum over dense union rows built from the
-    entry arrays; returns, per call, the rows scored, the entries of slot a's
-    blocks and, per gathered batch, its entries and blocks. With
-    ``noise_seed``, every score moves by a seeded draw within half its bound."""
+    entry arrays; returns, per call, the rows it scores, the pairs it scores,
+    the entries of those rows' blocks and, per gathered batch, its entries
+    and blocks. With ``noise_seed``, every score moves by a seeded draw
+    within half its bound."""
     calls, batches = [], []
     real_scores, real_batches = agglomeration.union_scores, agglomeration._batches
     noise = None if noise_seed is None else np.random.default_rng(noise_seed)
 
-    def batching(cum):
-        bounds = real_batches(cum)
+    def batching(cum, *rest):
+        bounds = real_batches(cum, *rest)
         batches.append([(int(cum[hi - 1] - (cum[lo - 1] if lo else 0)), hi - lo) for lo, hi in bounds])
         return bounds
 
-    def recording(slots, a, o, nr, *rest):
-        h, err = real_scores(slots, a, o, nr, *rest)
+    def recording(slots, a, o, nr, out, above=False):
+        err = real_scores(slots, a, o, nr, out, above)
+        shape = (a.stop - a.start, len(o))
+        h, nr, err = out.reshape(shape), np.broadcast_to(nr, shape), err.reshape(shape)
+        scored = o > np.arange(a.start, a.stop)[:, None] if above else np.ones(shape, dtype=bool)
         rows = dense_slot_rows(slots)
-        assert (np.abs(h - information_sum(rows[o] + rows[a], nr)) <= err).all()
+        for i, s in enumerate(range(a.start, a.stop)):
+            assert (np.abs(h[i] - information_sum(rows[o] + rows[s], nr[i])) <= err[i])[scored[i]].all()
         blocks = len(slots.ptr) - 1
-        calls.append((len(o), int(np.diff(slots.ptr) @ (rows[a, :blocks] > 0)), batches.pop()))
+        entries = int(((rows[a, :blocks] > 0) @ np.diff(slots.ptr)).sum())
+        calls.append((shape[0], int(scored.sum()), entries, batches.pop()))
         if noise is not None:
-            h = h + noise.uniform(-0.5, 0.5, len(h)) * err
-        return h, err
+            out += (noise.uniform(-0.5, 0.5, shape) * err).reshape(out.shape)
+        return err
 
     monkeypatch.setattr(agglomeration, "union_scores", recording)
     monkeypatch.setattr(agglomeration, "_batches", batching)
@@ -249,12 +255,14 @@ def test_score_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_cal
     g = scaled_allocation(n, [dict.fromkeys(range(n), rng.randint(1, 3 * fp.SCALE)) for _ in range(width)])
     calls, rows = recorded_scores(monkeypatch), counted_kernel(monkeypatch)
     d = gea(g)
-    for _, entries, batches in calls:
+    for group, _, entries, batches in calls:
         assert all(k <= BATCH_ENTRIES or blocks == 1 for k, blocks in batches)
         assert sum(k for k, _ in batches) <= entries
-        assert sum(blocks for _, blocks in batches) == width  # slot a's support
-    assert max(len(batches) for _, _, batches in calls) > 1
-    assert sum(k for k, _, _ in calls) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
+        assert sum(blocks for _, blocks in batches) == width * group  # the rows' support
+        # a group of rows gathers and scores at most BATCH_ENTRIES // 4 entries and cells
+        assert group == 1 or max(sum(k for k, _ in batches), group * n) <= BATCH_ENTRIES // 4
+    assert max(len(batches) for _, _, _, batches in calls) > 1
+    assert sum(k for _, k, _, _ in calls) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
     assert max(rows) == per_call
     members = {i: (i,) for i in range(n)}
     for t, m in enumerate(d.merges):
@@ -274,11 +282,69 @@ def test_score_calls_gather_the_slot_support_not_every_block(monkeypatch):
     g = scaled_allocation(n, blocks)
     calls = recorded_scores(monkeypatch)
     d = gea(g)
-    for _, entries, batches in calls:
+    for _, _, entries, batches in calls:
         assert all(k <= BATCH_ENTRIES or b == 1 for k, b in batches)
         assert sum(k for k, _ in batches) <= entries
-    assert max(k for k, entries, _ in calls if entries * 5 < len(g.elems)) >= 10
+    assert max(k for _, k, entries, _ in calls if entries * 5 < len(g.elems)) >= 10
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
+
+
+def first_fill_inputs():
+    """Iris; 300 rows of 4 seeded values at one decimal, categorized like
+    Iris; 200 elements in 5,000 seeded blocks of 2 to 6; and 30 elements in
+    9,000 blocks that all hold element 0, whose row gathers over
+    BATCH_ENTRIES entries while the others' rows group."""
+    params = CategorizationParams(d=10, m=5, gamma=3, r=1)
+    iris = categorize(parse_csv(str(resources.files("gea") / "data" / "iris.csv"), "species"), params)
+    rng = np.random.default_rng(16)
+    grid = categorize(NumericDataset(tuple("abcd"), tuple(map(tuple, rng.integers(0, 80, (300, 4)) / 10))), params)
+
+    def blocks(n, members):
+        elems = np.concatenate([np.sort(m) for m in members])
+        indptr = np.append(0, np.cumsum([len(m) for m in members]))
+        return FeatureAllocation(n, indptr, elems, rng.integers(1, 21, len(elems)) * fp.SCALE // 4, fp.SCALE)
+
+    sparse = blocks(200, [rng.choice(200, rng.integers(2, 7), replace=False) for _ in range(5000)])
+    wide = blocks(30, [np.append(0, rng.choice(np.arange(1, 30), 2, replace=False)) for _ in range(9000)])
+    return iris, grid, sparse, wide
+
+
+@pytest.mark.parametrize("which", range(4), ids=["iris", "grid", "sparse", "wide"])
+def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which):
+    # gea() scores its first pairs in groups of consecutive rows; the heights
+    # it fills and its bound beta must be bit-equal to one union_scores call
+    # per row, and each group must gather at most BATCH_ENTRIES // 4 entries
+    # into at most BATCH_ENTRIES // 4 scores, or be one row
+    g = first_fill_inputs()[which]
+    n, real = g.n, agglomeration.union_scores
+    groups, heights, beta = [], np.full((n, n), np.inf), 0.0
+
+    def recording(slots, a, o, nr, out, above=False):
+        err = real(slots, a, o, nr, out, above)
+        if above:
+            groups.append((a.start, a.stop))
+            heights[a] = out
+            nonlocal beta
+            beta = max(beta, err.max())
+        return err
+
+    monkeypatch.setattr(agglomeration, "union_scores", recording)
+    gea(g)
+    slots, one, one_beta = agglomeration._Slots(g), np.full((n, n), np.inf), 0.0
+    for a in range(n - 1):
+        o = np.arange(a + 1, n)
+        err = real(slots, slice(a, a + 1), o, np.full(len(o), float(2 * g.r_scaled)), one[a, a + 1 :], True)
+        one_beta = max(one_beta, err.max())
+    assert np.array_equal(heights, one) and beta == one_beta
+    # entries each row gathers: those after its own in each of its blocks
+    lens = np.diff(g.indptr)
+    after = np.bincount(g.elems, np.repeat(g.indptr[1:], lens) - 1 - np.arange(len(g.elems)), n)
+    assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]] and groups[-1][1] == n - 1
+    for lo, hi in groups:
+        assert hi - lo == 1 or max(after[lo:hi].sum(), (hi - lo) * n) <= BATCH_ENTRIES // 4
+    assert max(hi - lo for lo, hi in groups) > 1
+    if which == 3:
+        assert groups[0] == (0, 1) and after[0] > BATCH_ENTRIES
 
 
 def split_kernel_calls(monkeypatch):

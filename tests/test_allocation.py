@@ -411,6 +411,22 @@ def test_parser_matches_the_reference_on_any_tokens(n, lines, chunk):
         assert outcome(parse_allocation_text, text) == outcome(reference_parse_allocation_text, text)
 
 
+@pytest.mark.parametrize("blocks, lexsorted", [(1, False), (2, False), (3, True)])
+def test_fold_sorts_by_one_key_unless_it_would_pass_int64(blocks, lexsorted):
+    # element 2**62 of n = 2**62 in every block: the fold's key, block id
+    # times 2**62 plus element, reaches 2**63 - 1 in the second block and
+    # would pass int64 in the third, so there the fold lexsorts instead
+    big = 2**62
+    text = f"n={big} r=1.0\n" + f"{big}:2 3 {big} 1:0.5 3\n" * blocks
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+        g = parse_allocation_text(text)
+    assert spy.called == lexsorted
+    assert g == reference_parse_allocation_text(text)
+    assert g.indptr.tolist() == list(range(0, 3 * blocks + 1, 3))
+    assert g.elems.tolist() == [0, 2, big - 1] * blocks
+    assert g.weights.tolist() == [fp.SCALE // 2, 2 * fp.SCALE, 3 * fp.SCALE] * blocks
+
+
 def weighted_lines(rng, count, n=50, width=(2, 12)):
     """``count`` block lines of random ``element:weight`` tokens."""
     return [
