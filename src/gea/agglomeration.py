@@ -179,12 +179,13 @@ def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np
     """Scores of the unions of each slot of the slice ``a`` (the rows) with
     each slot ``o[k]``, written to ``out``; returns each score's bound on
     its distance from :func:`information_sum`'s value, 0 where nothing is
-    scored. ``out``, contiguous, and ``nr``, each union's float Nr, hold one
-    row per slot of ``a``, or may be flat when ``a`` is one slot.
- The kernel's sum of (s/Nr)*ln(Nr/s)
-    is (S_u*ln(Nr) - F_u)/Nr, S_u = S_a + S_o, and F_u = F_a + F_o + G_ao,
-    where G_ao sums f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o
-    share: a pair that shares no block scores in closed form. G is read, one
+    scored. ``out`` and ``nr``, each union's float Nr, hold one row per
+    slot of ``a``, or may be flat when ``a`` is one slot; one row of
+    ``out`` is written through a flat view, so it must be contiguous.
+
+    The kernel's sum of (s/Nr)*ln(Nr/s) is (S_u*ln(Nr) - F_u)/Nr, with
+    S_u = S_a + S_o and F_u = F_a + F_o + G_ao, where G_ao sums
+    f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o share: a pair that shares no block scores in closed form. G is read, one
     log per entry, from the entries of the blocks in each row's support,
     BATCH_ENTRIES entries per batch (:func:`_batches`), and summed per row
     and owning slot with one bincount per batch, in block order within each
@@ -315,8 +316,9 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1])
     del after
     for lo, hi in _batches(cum, BATCH_ENTRIES // 4, BATCH_ENTRIES // 4 // n):
-        nr = np.full((hi - lo, n), ref[2])
-        beta = max(beta, union_scores(slots, slice(lo, hi), np.arange(n), nr, heights[lo:hi], True).max())
+        o = np.arange(lo + 1, n)  # the group's pairs lie right of its first row's diagonal
+        nr = np.full((hi - lo, len(o)), ref[2])
+        beta = max(beta, union_scores(slots, slice(lo, hi), o, nr, heights[lo:hi, lo + 1 :], True).max())
     low = heights.min(axis=1)  # each row's minimum
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()

@@ -162,13 +162,10 @@ def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocati
         key *= m
         key += el
         order = np.argsort(key, kind="stable")
-        # sorted elements go into the key's memory: a fresh array here raised the
-        # parse's peak RSS by 1 MiB on 140,008 tokens ("clip" takes no buffer)
-        el = np.take(el, order, out=key, mode="clip")
+        del key
     else:  # the key would pass int64
         order = np.lexsort((el, blk))
-        el = el[order]
-    w, blk = w[order], blk[order]
+    el, w, blk = el[order], w[order], blk[order]
     del order
     new = np.ones(len(el), dtype=bool)
     new[1:] = (el[1:] != el[:-1]) | (blk[1:] != blk[:-1])

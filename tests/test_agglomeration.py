@@ -323,7 +323,7 @@ def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which
         err = real(slots, a, o, nr, out, above)
         if above:
             groups.append((a.start, a.stop))
-            heights[a] = out
+            heights[a, o] = out
             nonlocal beta
             beta = max(beta, err.max())
         return err
