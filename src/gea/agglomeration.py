@@ -19,8 +19,10 @@ consecutive rows at once, one bincount of corrections per group; each merge
 then rescores its kept slot alone, the one-row case of the same function.
 A score is within its bound beta of the kernel's entropy. Each
 merge's contenders are the pairs scored within 2*beta + TIE_TOLERANCE of
-the least. A lone contender merges at once: the kernel could not change the
-decision (see :func:`gea`). Otherwise :func:`information_sum` replaces the
+the least. The least row minimum names a row; when no other row minimum
+and no other score of that row lies in that band, its least pair is a lone
+contender and merges at once: the kernel could not change the decision
+(see :func:`gea`). Otherwise :func:`information_sum` replaces the
 score of each contender that has no kernel value yet, and that value stays
 until a merge rescores the pair. A second row cache, a lower bound on each
 row's least score without a kernel value that a scan of the row makes
@@ -30,9 +32,11 @@ read from the row minima. A merge keeps the union in the lower of its two
 slots, so slot i always holds the cluster whose least element is i. It
 moves the other slot's entries over (adding those in shared blocks, which
 die), retires that slot (inf row and column) and rescores the kept slot's
-pairs. The merge height is the kernel's value on the kept slot's masses.
-The kept row and rows whose minimum was in a merged column are rescanned;
-the others compare one new entry.
+pairs. The merge height is the kernel's value on the kept slot's masses,
+which the merge gathers once, passed as one ragged row: the kernel takes
+positive masses in row order with a row id each, not dense rows. The kept
+row and rows whose minimum was in a merged column are rescanned; the
+others compare one new entry.
 """
 from __future__ import annotations
 
@@ -113,12 +117,13 @@ class _Slots:
         self.flog = np.bincount(self.owner, self.f, n)
         self.pos = np.split(np.argsort(self.owner, kind="stable"), np.cumsum(self.count)[:-1])
 
-    def merge(self, a: int, b: int) -> None:
+    def merge(self, a: int, b: int) -> np.ndarray:
         """Move slot b's entries to slot a: those in a block a holds add to
-        a's entry there and die, the others change owner."""
+        a's entry there and die, the others change owner. Returns a's new
+        masses in block order."""
         pa, pb = self.pos[a], self.pos[b]
         ba, bb = self.blk[pa], self.blk[pb]
-        at = np.searchsorted(ba, bb)  # also where b's position goes among a's
+        at = ba.searchsorted(bb)  # also where b's position goes among a's
         hit = ba[np.minimum(at, len(ba) - 1)] == bb if len(ba) else np.zeros(len(bb), bool)
         ea, eb, new = pa[at[hit]], pb[hit], pb[~hit]
         m = self.mass[ea] + self.mass[eb]
@@ -126,12 +131,14 @@ class _Slots:
         self.mass[eb] = self.f[eb] = 0
         self.owner[new] = a
         at = at[~hit] + np.arange(len(new))  # insert without a sort
-        p, old = np.empty(len(pa) + len(new), pa.dtype), np.ones(len(pa) + len(new), bool)
-        p[at], old[at] = new, False
-        p[old] = pa
+        p, added = np.empty(len(pa) + len(new), pa.dtype), np.zeros(len(pa) + len(new), bool)
+        p[at], added[at] = new, True
+        p[~added] = pa
+        m = self.mass[p]
         self.pos[a], self.pos[b] = p, pb[:0].copy()  # a view would keep all of pb
-        self.total[a], self.flog[a], self.count[a] = self.mass[p].astype(float).sum(), self.f[p].sum(), len(p)
+        self.total[a], self.flog[a], self.count[a] = m.astype(float).sum(), self.f[p].sum(), len(p)
         self.dead += len(eb)
+        return m
 
     def compact(self) -> None:
         """Drop the dead entries once they are half the array; called after
@@ -166,6 +173,8 @@ def _batches(cum: np.ndarray, budget: int = BATCH_ENTRIES, most: int | None = No
     """Bounds (lo, hi) of consecutive runs of items (blocks, or rows), with
     entry counts summing to ``cum``, that hold at most ``budget`` entries and
     at most ``most`` items in all, or one item."""
+    if len(cum) and cum[-1] <= budget and (most is None or len(cum) <= most):
+        return [(0, len(cum))]  # all in one: the common case, without the loop
     lo, out = 0, []
     while lo < len(cum):
         hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget, "right"))
@@ -179,15 +188,19 @@ def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np
     """Scores of the unions of each slot of the slice ``a`` (the rows) with
     each slot ``o[k]``, written to ``out``; returns each score's bound on
     its distance from :func:`information_sum`'s value, 0 where nothing is
-    scored. ``out`` and ``nr``, each union's float Nr, hold one row per
-    slot of ``a``, or may be flat when ``a`` is one slot; one row of
-    ``out`` is written through a flat view, so it must be contiguous.
+    scored. ``out`` holds one row per slot of ``a``, or may be flat when
+    ``a`` is one slot; one row of ``out`` is written through a flat view,
+    so it must be contiguous. ``nr``, each union's float Nr, is one value
+    for every score (before any merge each union has two elements) or one
+    per score, rows by ``o``, flat when ``a`` is one slot.
 
     The kernel's sum of (s/Nr)*ln(Nr/s) is (S_u*ln(Nr) - F_u)/Nr, with
     S_u = S_a + S_o and F_u = F_a + F_o + G_ao, where G_ao sums
-    f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o share: a pair that shares no block scores in closed form. G is read, one
+    f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o share: a pair
+    that shares no block scores in closed form. G is read, one
     log per entry, from the entries of the blocks in each row's support,
-    BATCH_ENTRIES entries per batch (:func:`_batches`), and summed per row
+    BATCH_ENTRIES entries per batch (:func:`_batches`, one batch when all
+    fit), and summed per row
     and owning slot with one bincount per batch, in block order within each
     pair; a row's own and dead entries land on slots that are not scored.
     With ``above``, before any merge, only the entries after a row's own in
@@ -213,33 +226,37 @@ def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np
     j += 1
     lens = slots.ptr[j]
     lens -= start
-    cum = np.cumsum(lens)
+    cum = lens.cumsum()
     start += lens
     start -= cum  # entry k of the gather, in block i, is start[i] + k
     if rows > 1:  # where the row of each of p's blocks starts in g
-        span = np.repeat(np.arange(0, rows * n, n), slots.count[a])
+        span = np.arange(0, rows * n, n).repeat(slots.count[a])
     g = np.zeros(rows * n)
     for lo, hi in _batches(cum):
         k = lens[lo:hi]
-        e = np.arange(cum[lo] - k[0], cum[hi - 1]) + np.repeat(start[lo:hi], k)
-        x = np.repeat(slots.mass[p[lo:hi]], k).astype(float)
+        e = np.arange(cum[lo] - k[0], cum[hi - 1]) + start[lo:hi].repeat(k)
+        x = slots.mass[p[lo:hi]].astype(float).repeat(k)
         x += slots.mass[e]  # in floats: a's own entries may pass int64
         t = np.log(x)  # x >= 1, as each of a's masses is
         t *= x
-        t -= np.repeat(slots.f[p[lo:hi]], k)
+        t -= slots.f[p[lo:hi]].repeat(k)
         t -= slots.f[e]
         e = slots.owner[e]
         if rows > 1:
-            e += np.repeat(span[lo:hi], k)
+            e += span[lo:hi].repeat(k)
         g += np.bincount(e, t, len(g))
     if rows == 1:  # one row's arithmetic stays 1-D, on numpy's fast path
-        a, g, nr, out = a.start, g[o], nr.reshape(-1), out.reshape(-1)
+        a, fu, out = a.start, g[o], out.reshape(-1)
     else:
-        a, g = np.arange(a.start, a.stop)[:, None], g.reshape(rows, n)[:, o]
+        a, fu = np.arange(a.start, a.stop)[:, None], g.reshape(rows, n)[:, o]
+    fu += slots.flog[a] + slots.flog[o]  # F_u, in place like the bound below
     sl = (slots.total[a] + slots.total[o]) * np.log(nr)
-    fu = slots.flog[a] + slots.flog[o] + g
-    err = (slots.count[o] + (slots.count[a] + 16)) * (4 * _UNIT_ROUNDOFF) * (sl + 3 * fu) / nr
-    np.divide(sl - fu, nr, out=out)
+    err = fu * 3
+    err += sl
+    err *= (slots.count[o] + (slots.count[a] + 16)) * (4 * _UNIT_ROUNDOFF)
+    err /= nr
+    sl -= fu
+    np.divide(sl, nr, out=out)
     if above:
         below = o <= a
         out[below], err[below] = np.inf, 0
@@ -257,21 +274,27 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     row over either budget is a group of its own); a merge rescores the
     kept slot's pairs in one call. The merge with minimal entropy wins;
     near-exact ties (within ``TIE_TOLERANCE``) go to the union whose sorted
-    element ids compare least: the least tied (row, column) slot pair. Decisions use :func:`information_sum` values:
-    the decomposed scores, each within its bound beta, only select the
-    contenders, every pair scored within 2*beta + TIE_TOLERANCE of the
-    least. A lone contender wins without the kernel. The least entry is
+    element ids compare least: the least tied (row, column) slot pair.
+    Decisions use :func:`information_sum` values: the decomposed scores,
+    each within its bound beta, only select the contenders, every pair
+    scored within 2*beta + TIE_TOLERANCE of the least. A merge first takes
+    the row a of the least row minimum; when that row minimum is the only
+    one in the band and its score the only one of row a there, the pair is
+    a lone contender and wins without the kernel. The least entry is
     exact, so its pair's entropy is at most least + beta and every other
     pair's entropy is above least + 2*beta + TIE_TOLERANCE - beta; the lone
     pair is thus below every other by more than TIE_TOLERANCE, and the tie
-    rule picks it whatever the kernel's values are. Otherwise a merge
+    rule picks it whatever the kernel's values are. It is also what the
+    tie rule would pick from the scores: row a is the first least row, and
+    its one score in the band is the row's first minimum. Otherwise a merge
     evaluates the contenders that have no kernel value yet in one kernel
     call (more only when it would pass BATCH_ENTRIES scanned scores or
-    union-row masses) and keeps those values until a merge rescores their
-    pairs. Each height is one kernel call on the merged slot's masses in
-    block order: they are the positive entries of the union's dense row in
-    the same order, and the kernel sums them left to right, so the height
-    is bit-equal to :func:`subset_entropy` and to the winner's contender
+    union-row masses), on the positive masses of their dense union rows,
+    and keeps those values until a merge rescores their pairs. Each height
+    is one kernel call on the merged slot's masses in block order, as one
+    row: they are the positive entries of the union's dense row in the
+    same order, and the kernel sums them left to right, so the height is
+    bit-equal to :func:`subset_entropy` and to the winner's contender
     value. Working memory is at most about
     9*n**2 + 80*nnz + 112*B + 200*n + 128*BATCH_ENTRIES bytes: scores and
     which of them are kernel values; per entry its block, owner, mass, f
@@ -303,10 +326,13 @@ def gea(g: FeatureAllocation) -> Dendrogram:
 
     def canonical(r, c):
         # information_sum of the unions of slots r[i] and c[i], BATCH_ENTRIES masses per call
-        k = max(1, BATCH_ENTRIES // max(len(g.sizes), 1))
-        parts = [(r[i : i + k], c[i : i + k]) for i in range(0, len(r), k)]
-        return np.concatenate([information_sum(slots.union_rows(x, y), ref[size[x] + size[y]])
-                               for x, y in parts])
+        k, out = max(1, BATCH_ENTRIES // max(len(g.sizes), 1)), []
+        for i in range(0, len(r), k):
+            x, y = r[i : i + k], c[i : i + k]
+            u = slots.union_rows(x, y)
+            at = np.flatnonzero(u > 0)  # each union's positive masses, in block order
+            out.append(information_sum(u.ravel()[at], at // u.shape[1], ref[size[x] + size[y]]))
+        return np.concatenate(out)
 
     # every pair's score, in groups of rows that gather at most BATCH_ENTRIES // 4
     # entries (a row, those after its own in each of its blocks) into at most
@@ -317,8 +343,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     del after
     for lo, hi in _batches(cum, BATCH_ENTRIES // 4, BATCH_ENTRIES // 4 // n):
         o = np.arange(lo + 1, n)  # the group's pairs lie right of its first row's diagonal
-        nr = np.full((hi - lo, len(o)), ref[2])
-        beta = max(beta, union_scores(slots, slice(lo, hi), o, nr, heights[lo:hi, lo + 1 :], True).max())
+        err = union_scores(slots, slice(lo, hi), o, ref[2], heights[lo:hi, lo + 1 :], True)
+        beta = max(beta, err.max())
     low = heights.min(axis=1)  # each row's minimum
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()
@@ -327,12 +353,13 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     for step in range(n - 1):
         # contenders: each score is within beta of its entropy, so these hold every
         # pair whose entropy may lie within TIE_TOLERANCE of the least
-        band = low.min() + 2 * beta + TIE_TOLERANCE
-        near = np.flatnonzero(low <= band)
+        a = int(low.argmin())
+        band = low[a] + 2 * beta + TIE_TOLERANCE
         # a lone contender's entropy is at most least + beta and every other pair's above
-        # least + beta + TIE_TOLERANCE, so it wins whatever the kernel says
-        if len(near) > 1 or np.count_nonzero(heights[near[0]] <= band) > 1:
-            near = np.flatnonzero(fresh <= band)
+        # least + beta + TIE_TOLERANCE, so it wins whatever the kernel says: it is the
+        # first least row and the only column of that row in the band
+        if np.count_nonzero(low <= band) + np.count_nonzero(heights[a] <= band) > 2:
+            near = (fresh <= band).nonzero()[0]
             for s in (near[i : i + k] for i in range(0, len(near), k)):
                 h = heights[s]
                 i, c = np.nonzero((h <= band) & ~exact[s])
@@ -343,32 +370,36 @@ def gea(g: FeatureAllocation) -> Dendrogram:
                 h[exact[s]] = np.inf
                 fresh[s] = h.min(axis=1)
             h = None  # else the lone merges that may follow keep the last batch alive
-        # every pair within TIE_TOLERANCE of the least now holds its kernel value, or is the
-        # lone contender; slot indices are least elements, so the least tied union is the
-        # first tied row and column
-        band = low.min() + TIE_TOLERANCE
-        a = int(np.argmax(low <= band))
-        b = int(np.argmax(heights[a] <= band))
+            # every pair within TIE_TOLERANCE of the least now holds its kernel value;
+            # slot indices are least elements, so the least tied union is the first
+            # tied row and column
+            band = low.min() + TIE_TOLERANCE
+            a = int((low <= band).argmax())
+        b = int((heights[a] <= band).argmax())
         # rescan row a and the rows whose minimum was in column a or b; others compare column a
-        hit = (low == heights[:, a]) | (low == heights[:, b])
-        stale = np.append(np.flatnonzero(hit & (low < np.inf)), a)
-        slots.merge(a, b)
+        stale = ((low == heights[:, a]) | (low == heights[:, b])) & (low < np.inf)
+        stale[a] = True
+        stale = stale.nonzero()[0]
+        mass = slots.merge(a, b)
         slots.compact()
         size[a], size[b] = size[a] + size[b], 0
         # the union's positive masses in block order, as its dense row gives them
-        height = information_sum(slots.mass[slots.pos[a]][None], ref[size[a] : size[a] + 1])
+        height = information_sum(mass, np.zeros(len(mass), np.intp), ref[size[a] : size[a] + 1])
         merges.append(Merge(*sorted((node[a], node[b])), float(height[0]), int(size[a])))
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
         exact[a, :] = exact[:, a] = False
-        o = np.flatnonzero((size > 0) & (np.arange(n) != a))
+        o = size > 0
+        o[a] = False
+        o = o.nonzero()[0]
         if len(o):  # rescore the kept slot's pairs
             h = np.empty(len(o))
             beta = max(beta, union_scores(slots, slice(a, a + 1), o, ref[size[o] + size[a]], h).max())
             heights[np.minimum(o, a), np.maximum(o, a)] = h
-        low[:a] = np.minimum(low[:a], heights[:a, a])
-        fresh[:a] = np.minimum(fresh[:a], heights[:a, a])
-        for s in (stale[i : i + k] for i in range(0, len(stale), k)):
+        np.minimum(low[:a], heights[:a, a], out=low[:a])
+        np.minimum(fresh[:a], heights[:a, a], out=fresh[:a])
+        for i in range(0, len(stale), k):
+            s = stale[i : i + k]
             low[s] = heights[s].min(axis=1)
         fresh[a] = low[a]
 

@@ -26,22 +26,24 @@ from . import fixedpoint as fp
 from .allocation import FeatureAllocation, cod
 
 
-def information_sum(mass: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per row i of the k-by-B int64 matrix ``mass`` (fixed-point block sizes,
-    or subsets' per-block masses), the sum of (s / nr) * log(nr / s) over its
-    positive entries s, where nr = ref[i] is the row's reference mass: the
-    exact integer n * r_scaled as a float, rounded once.
+def information_sum(mass: np.ndarray, row: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per row i of a ragged batch, the sum of (s / nr) * log(nr / s) over
+    its masses s, where nr = ref[i] is the row's reference mass: the exact
+    integer n * r_scaled as a float, rounded once. ``mass`` holds the rows'
+    positive int64 masses (fixed-point block sizes, or subsets' per-block
+    masses) in row order, and ``row[j]`` is the row of ``mass[j]``.
 
-    Zero entries are blocks a projection discards; a row without a positive
-    entry sums to zero. Terms are added left to right, so a row's sum depends
-    only on its positive entries in order, not on zero columns or other rows.
-    This is the one evaluation of the sum that both the entropy functions and
-    the merge engine use, so equal inputs give bit-equal results.
+    A projection discards the blocks it leaves empty, so a subset's row
+    holds its positive masses only; a row without a mass sums to zero. Terms
+    are added left to right, so a row's sum depends only on its masses in
+    order, not on other rows. This is the one evaluation of the sum that
+    both the entropy functions and the merge engine use, so equal inputs
+    give bit-equal results.
     """
-    rows, cols = np.divmod(np.flatnonzero(mass > 0), mass.shape[1])
-    s, nr = mass[rows, cols], ref[rows]
-    terms = (s / nr) * np.log(nr / s)
-    return np.bincount(rows, terms, len(mass)).astype(float)  # int zeros when no terms
+    nr = ref[row]
+    terms = mass / nr
+    terms *= np.log(nr / mass)
+    return np.bincount(row, terms, len(ref)).astype(float, copy=False)  # int zeros when no terms
 
 
 def generalized_entropy(g: FeatureAllocation) -> float:
@@ -52,7 +54,8 @@ def generalized_entropy(g: FeatureAllocation) -> float:
     shared 1e-6 scale cancels inside each ratio. An empty allocation has
     entropy zero.
     """
-    return float(information_sum(g.sizes[None], np.array([float(g.n * g.r_scaled)]))[0])
+    nr = np.array([float(g.n * g.r_scaled)])
+    return float(information_sum(g.sizes, np.zeros(len(g.sizes), np.intp), nr)[0])
 
 
 def generalized_entropy_cod(g: FeatureAllocation) -> float:
@@ -80,7 +83,7 @@ def generalized_entropy_cod(g: FeatureAllocation) -> float:
 
 def subset_entropy(g: FeatureAllocation, subset: Iterable[int]) -> float:
     """Entropy of the projection onto ``subset`` (n' = len(subset), same r):
-    each block's mass on the subset, zeros included, goes to one
+    each block's positive mass on the subset goes to one
     :func:`information_sum` call in block order, as the engine's masses do.
     A subset that meets no block has entropy zero."""
     keep = sorted({operator.index(e) for e in subset})
@@ -91,4 +94,5 @@ def subset_entropy(g: FeatureAllocation, subset: Iterable[int]) -> float:
     keep = np.array(keep, dtype=np.int64)
     hit = keep[np.minimum(np.searchsorted(keep, g.elems), len(keep) - 1)] == g.elems
     mass = np.add.reduceat(np.where(hit, g.weights, 0), g.indptr[:-1])
-    return float(information_sum(mass[None], np.array([float(len(keep) * g.r_scaled)]))[0])
+    mass, nr = mass[mass > 0], np.array([float(len(keep) * g.r_scaled)])
+    return float(information_sum(mass, np.zeros(len(mass), np.intp), nr)[0])

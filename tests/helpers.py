@@ -15,6 +15,13 @@ from gea.agglomeration import TIE_TOLERANCE, Dendrogram
 from gea.entropy import information_sum, subset_entropy
 
 
+def ragged(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive entries of a dense k-by-B int64 mass matrix in row order,
+    and the row of each: the input form of :func:`information_sum`."""
+    row, col = np.nonzero(mass > 0)
+    return mass[row, col], row
+
+
 def _naive_steps(g: FeatureAllocation):
     """From-scratch agglomeration; yields, for each merge, every candidate
     pair's union entropy and the merge as a canonical (left-members,
@@ -70,7 +77,7 @@ def full_scan_gea(g: FeatureAllocation) -> list[tuple[int, int, float, int]]:
     def fill(a, others):
         o = np.array(others, dtype=np.intp)
         ref = np.array([float((len(members[a]) + len(members[j])) * r_s) for j in others])
-        heights[np.minimum(o, a), np.maximum(o, a)] = information_sum(mass[o] + mass[a], ref)
+        heights[np.minimum(o, a), np.maximum(o, a)] = information_sum(*ragged(mass[o] + mass[a]), ref)
 
     for a in range(n - 1):
         fill(a, list(range(a + 1, n)))

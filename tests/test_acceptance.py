@@ -27,6 +27,7 @@ from helpers import (
     naive_gea_members,
     random_allocation,
     random_integer_allocation,
+    ragged,
     scaled_allocation,
     simpson,
 )
@@ -121,7 +122,7 @@ def test_quadrature_check(report):
         r_s = fp.from_number(r)
         nr = n * r_s
         s = fp.from_number(rng.uniform(1e-3, 2 * n * r))
-        (closed,) = information_sum(np.array([[s]], dtype=np.int64), np.array([float(nr)]))
+        (closed,) = information_sum(*ragged(np.array([[s]], dtype=np.int64)), np.array([float(nr)]))
         integral = (s / nr) * simpson(lambda t: 1 / t, s, nr, 10_000)
         rel = abs(integral - closed) / max(abs(closed), 1e-12)
         worst = max(worst, rel)

@@ -38,6 +38,7 @@ from helpers import (
     naive_gea_ties,
     random_allocation,
     random_integer_allocation,
+    ragged,
     scaled_allocation,
 )
 
@@ -216,7 +217,7 @@ def recorded_scores(monkeypatch, noise_seed=None):
         scored = o > np.arange(a.start, a.stop)[:, None] if above else np.ones(shape, dtype=bool)
         rows = dense_slot_rows(slots)
         for i, s in enumerate(range(a.start, a.stop)):
-            assert (np.abs(h[i] - information_sum(rows[o] + rows[s], nr[i])) <= err[i])[scored[i]].all()
+            assert (np.abs(h[i] - information_sum(*ragged(rows[o] + rows[s]), nr[i])) <= err[i])[scored[i]].all()
         blocks = len(slots.ptr) - 1
         entries = int(((rows[a, :blocks] > 0) @ np.diff(slots.ptr)).sum())
         calls.append((shape[0], int(scored.sum()), entries, batches.pop()))
@@ -234,9 +235,9 @@ def counted_kernel(monkeypatch):
     of each call, in call order."""
     rows = []
 
-    def counting(mass, ref):
-        rows.append(len(mass))
-        return information_sum(mass, ref)
+    def counting(mass, row, ref):
+        rows.append(len(ref))
+        return information_sum(mass, row, ref)
 
     monkeypatch.setattr(agglomeration, "information_sum", counting)
     return rows
@@ -349,32 +350,32 @@ def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which
 
 def split_kernel_calls(monkeypatch):
     """Route gea()'s kernel calls through a wrapper that tells contender
-    calls, on rows from ``_Slots.union_rows``, from height calls. Returns
-    the contender calls as (merges made before the call, rows), the height
-    calls' mass shapes, and per merge the winner's latest contender value
-    (None when the pair has none since either slot last merged)."""
+    calls, on masses from the rows ``_Slots.union_rows`` built just before,
+    from height calls. Returns the contender calls as (merges made before
+    the call, rows), the height calls' (rows, masses), and per merge the
+    winner's latest contender value (None when the pair has none since
+    either slot last merged)."""
     contender, height, won, values, built = [], [], [], {}, []
     real_rows, real_merge = agglomeration._Slots.union_rows, agglomeration._Slots.merge
 
     def rows(slots, x, y):
-        built.append((real_rows(slots, x, y), x.tolist(), y.tolist()))
-        return built[-1][0]
+        built.append((x.tolist(), y.tolist()))
+        return real_rows(slots, x, y)
 
-    def counting(mass, ref):
-        h = information_sum(mass, ref)
-        pairs = next(((x, y) for d, x, y in built if d is mass), None)
-        if pairs is None:
-            height.append(mass.shape)
+    def counting(mass, row, ref):
+        h = information_sum(mass, row, ref)
+        if not built:
+            height.append((len(ref), len(mass)))
         else:
-            contender.append((len(won), len(mass)))
-            values.update(zip(zip(*pairs), h.tolist()))
+            contender.append((len(won), len(ref)))
+            values.update(zip(zip(*built.pop()), h.tolist()))
         return h
 
     def merging(slots, a, b):
         won.append(values.get((a, b)))
         for pair in [p for p in values if {a, b} & set(p)]:
             del values[pair]
-        real_merge(slots, a, b)
+        return real_merge(slots, a, b)
 
     monkeypatch.setattr(agglomeration._Slots, "union_rows", rows)
     monkeypatch.setattr(agglomeration._Slots, "merge", merging)
@@ -493,20 +494,51 @@ def test_contender_calls_split_at_the_batch_budget_in_pair_order(monkeypatch):
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
-def assert_slots_consistent(slots, live):
+def assert_slots_consistent(slots, live, merged):
     """Each live slot lists its own entries, one per block of its support, in
     block order, with positive masses, S, F and support size to match; dead
-    entries are empty, and no retired slot owns a live entry."""
+    entries are empty, and no retired slot owns a live entry. S and F are
+    summed again from the entries at each merge; a slot that never merged
+    keeps the set-up's bincount over its entries, a left-to-right sum."""
     assert np.array_equal(slots.blk, np.repeat(np.arange(len(slots.ptr) - 1), np.diff(slots.ptr)))
     listed = np.zeros(len(slots.mass), dtype=bool)
     for s in np.flatnonzero(live):
         p = slots.pos[s]
-        assert (slots.owner[p] == s).all() and (np.diff(slots.blk[p]) > 0).all()
+        assert (np.diff(p) > 0).all() and (slots.owner[p] == s).all() and (np.diff(slots.blk[p]) > 0).all()
         assert (slots.mass[p] > 0).all() and slots.count[s] == len(p)
-        assert slots.total[s] == slots.mass[p].astype(float).sum() and slots.flog[s] == slots.f[p].sum()
+        x, y = slots.mass[p].astype(float), slots.f[p]
+        if not merged[s]:
+            x, y = np.add.accumulate(x)[-1:], np.add.accumulate(y)[-1:]
+        assert slots.total[s] == x.sum() and slots.flog[s] == y.sum()
         listed[p] = True
     assert (slots.mass[~listed] == 0).all() and (slots.f[~listed] == 0).all()
-    assert len(slots.mass) - listed.sum() >= slots.dead
+    assert len(slots.mass) - listed.sum() == slots.dead
+
+
+@pytest.mark.parametrize("which", range(3), ids=["iris", "sparse", "compacting"])
+def test_slots_keep_their_invariants_over_seeded_merges(which):
+    # seeded merge sequences of random live pairs, each keeping the lower
+    # slot and compacting after it as gea() does: after every merge each
+    # live slot's positions ascend, one per block of its support, with its
+    # own positive masses, S, F and support size to match, and ``dead``
+    # counts the zero-mass entries; all alike, merges kill entries fast
+    # enough to compact several times
+    iris, _, sparse, _ = first_fill_inputs()
+    g = (iris, sparse, tie_heavy_inputs()[0])[which]
+    rng = random.Random(which)
+    for _ in range(2):
+        slots, live, merged, compactions = agglomeration._Slots(g), np.ones(g.n, bool), np.zeros(g.n, bool), 0
+        assert_slots_consistent(slots, live, merged)
+        for _ in range(g.n - 1):
+            a, b = sorted(rng.sample(np.flatnonzero(live).tolist(), 2))
+            before = len(slots.mass)
+            mass = slots.merge(a, b)
+            live[b], merged[a] = False, True
+            slots.compact()
+            compactions += len(slots.mass) < before
+            assert np.array_equal(mass, slots.mass[slots.pos[a]])
+            assert_slots_consistent(slots, live, merged)
+        assert compactions >= (0, 0, 5)[which]
 
 
 def test_dead_entries_compact_and_merges_match_full_scan(monkeypatch):
@@ -517,11 +549,12 @@ def test_dead_entries_compact_and_merges_match_full_scan(monkeypatch):
     alike, scattered = tie_heavy_inputs()
     sparse = parse_allocation_text("n=10 r=1.0\n1 2:2 3\n2 4:0.5\n5 6 1:3\n6\n")
     real_merge, real_compact = agglomeration._Slots.merge, agglomeration._Slots.compact
-    live, shrunk = np.ones(0, dtype=bool), []
+    live, merged, shrunk = np.ones(0, dtype=bool), np.zeros(0, dtype=bool), []
 
     def merging(slots, a, b):
-        real_merge(slots, a, b)
-        live[b] = False
+        mass = real_merge(slots, a, b)
+        live[b], merged[a] = False, True
+        return mass
 
     def compacting(slots):
         before = len(slots.mass)
@@ -529,12 +562,12 @@ def test_dead_entries_compact_and_merges_match_full_scan(monkeypatch):
         shrunk.append(before - len(slots.mass))
         if shrunk[-1]:
             assert slots.dead == 0 and (slots.mass > 0).all()
-        assert_slots_consistent(slots, live)
+        assert_slots_consistent(slots, live, merged)
 
     monkeypatch.setattr(agglomeration._Slots, "merge", merging)
     monkeypatch.setattr(agglomeration._Slots, "compact", compacting)
     for g, compactions in ((alike, 5), (scattered, 2), (sparse, 1)):
-        live, shrunk = np.ones(g.n, dtype=bool), []
+        live, merged, shrunk = np.ones(g.n, dtype=bool), np.zeros(g.n, dtype=bool), []
         merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
         assert merges == full_scan_gea(g)
         assert sum(k > 0 for k in shrunk) >= compactions

@@ -17,7 +17,7 @@ from gea.entropy import (
     subset_entropy,
 )
 
-from helpers import random_allocation, random_integer_allocation, scaled_allocation, simpson
+from helpers import random_allocation, random_integer_allocation, ragged, scaled_allocation, simpson
 
 
 def fixture_f():
@@ -26,7 +26,7 @@ def fixture_f():
 
 def one_block(size, n, r):
     # the kernel's term for one block, in fixed-point units as gea() passes them
-    (h,) = information_sum(np.array([[fp.from_number(size)]]), np.array([float(n * fp.from_number(r))]))
+    (h,) = information_sum(*ragged(np.array([[fp.from_number(size)]])), np.array([float(n * fp.from_number(r))]))
     return h
 
 
@@ -56,15 +56,42 @@ def test_information_sum_rows_ignore_batch_and_zero_columns(blocks):
         counts = rng.integers(1, 30, k).tolist()
         r_s = int(rng.choice([fp.SCALE // 2, fp.SCALE, 2 * fp.SCALE]))
         ref = np.array([float(c * r_s) for c in counts])
-        sums = information_sum(mass, ref)
+        sums = information_sum(*ragged(mass), ref)
         assert sums.dtype == np.float64 and sums.shape == (k,)
-        alone = [information_sum(mass[i : i + 1], ref[i : i + 1]) for i in range(k)]
-        dropped = [information_sum(m[m > 0][None], ref[i : i + 1]) for i, m in enumerate(mass)]
+        alone = [information_sum(*ragged(mass[i : i + 1]), ref[i : i + 1]) for i in range(k)]
+        dropped = [information_sum(*ragged(m[m > 0][None]), ref[i : i + 1]) for i, m in enumerate(mass)]
         perm = rng.permutation(k)
-        shuffled = information_sum(mass[perm], ref[perm])
+        shuffled = information_sum(*ragged(mass[perm]), ref[perm])
         assert sums.tobytes() == np.concatenate(alone).tobytes()
         assert sums.tobytes() == np.concatenate(dropped).tobytes()
         assert sums.tobytes() == shuffled[np.argsort(perm)].tobytes()
+
+
+def dense_information_sum(mass, ref):
+    """The kernel's earlier form, per row of a k-by-B int64 matrix: the sum
+    of (s / nr) * log(nr / s) over the row's positive entries, left to right."""
+    rows, cols = np.divmod(np.flatnonzero(mass > 0), mass.shape[1])
+    s, nr = mass[rows, cols], ref[rows]
+    terms = (s / nr) * np.log(nr / s)
+    return np.bincount(rows, terms, len(mass)).astype(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ragged_kernel_is_bit_equal_to_dense_rows(seed):
+    # random dense rows with zeros, some all zero: the call on their positive
+    # entries in row order, with a row id each, gives the dense form's bits,
+    # and a row with no positive mass sums to 0
+    rng = np.random.default_rng(seed)
+    k, blocks = int(rng.integers(1, 9)), int(rng.integers(0, 40))
+    top = int(rng.choice([5 * fp.SCALE, 2**40, 2**62]))
+    mass = rng.integers(1, top, (k, blocks)) * (rng.random((k, blocks)) < rng.random())
+    mass[rng.random(k) < 0.25] = 0
+    r_s = int(rng.choice([fp.SCALE // 2, fp.SCALE, 2 * fp.SCALE]))
+    ref = np.array([float(c * r_s) for c in rng.integers(1, 30, k).tolist()])
+    sums = information_sum(*ragged(mass), ref)
+    assert sums.dtype == np.float64 and sums.tobytes() == dense_information_sum(mass, ref).tobytes()
+    assert (sums[(mass == 0).all(axis=1)] == 0).all()
 
 
 # --- block-sum form ------------------------------------------------------------
