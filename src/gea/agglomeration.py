@@ -381,10 +381,11 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         stale[a] = True
         stale = stale.nonzero()[0]
         mass = slots.merge(a, b)
-        slots.compact()
         size[a], size[b] = size[a] + size[b], 0
         # the union's positive masses in block order, as its dense row gives them
         height = information_sum(mass, np.zeros(len(mass), np.intp), ref[size[a] : size[a] + 1])
+        del mass  # else it adds to the peaks of the compaction and the rescore
+        slots.compact()
         merges.append(Merge(*sorted((node[a], node[b])), float(height[0]), int(size[a])))
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
