@@ -197,12 +197,12 @@ def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np
     The kernel's sum of (s/Nr)*ln(Nr/s) is (S_u*ln(Nr) - F_u)/Nr, with
     S_u = S_a + S_o and F_u = F_a + F_o + G_ao, where G_ao sums
     f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o share: a pair
-    that shares no block scores in closed form. G is read, one
-    log per entry, from the entries of the blocks in each row's support,
+    that shares no block scores in closed form. G is read, one log per
+    entry, from the entries of the blocks in each row's support,
     BATCH_ENTRIES entries per batch (:func:`_batches`, one batch when all
-    fit), and summed per row
-    and owning slot with one bincount per batch, in block order within each
-    pair; a row's own and dead entries land on slots that are not scored.
+    fit), and summed per row and owning slot with one bincount per batch,
+    in block order within each pair; a row's own and dead entries land on
+    slots that are not scored.
     With ``above``, before any merge, only the entries after a row's own in
     each block are read: slots are elements then, which ascend in a block,
     so these are the entries of the slots above the row, and only those
