@@ -19,7 +19,9 @@ The text parser splits lines and tokens with ``str.splitlines`` and
 time: one pass over each chunk's bytes checks the token grammar and reads the
 digits. A token it cannot certify (Unicode digits, a signed weight, over six
 decimals, a field too long for int64, a malformed token) takes the scalar
-check, which converts it exactly or raises the error naming its line.
+check, which converts it exactly or raises the error naming its line. The
+text goes once it is split, each line once it is read, and each token buffer
+after the fold's last use of it: the fold at the end sets the peak memory.
 """
 from __future__ import annotations
 
@@ -125,14 +127,18 @@ class FeatureAllocation:
                 if w > _INT64_MAX:
                     excess[i] += w - _INT64_MAX
             starts.append(len(elems))
-        return _from_tokens(n, starts, elems, weights, excess, fp.from_number(r))
+        return _from_tokens(n, starts, [elems, weights], excess, fp.from_number(r))
 
 
 def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.ndarray:
     """Each block's size as int64, or ValueError naming the first that is
     beyond int64 once ``excess[i]`` units missing from ``weights`` are added
-    to block i. The 32-bit halves of the weights are summed apart: no wrap."""
-    hi, lo = (np.add.reduceat(half, indptr[:-1]) for half in np.divmod(weights, 2**32))
+    to block i. The high 32-bit halves of the weights are summed apart, as
+    an int64 sum wraps silently: the plain sum less the high halves' sum
+    times 2**32, both wrapping, is the low halves' sum, which is below 2**63
+    in a block of fewer than 2**31 entries. One temporary at a time."""
+    hi = np.add.reduceat(weights >> 32, indptr[:-1])
+    lo = np.add.reduceat(weights, indptr[:-1]) - hi * 2**32
     over = hi + (lo >> 32) >= 2**31
     if excess:
         over[list(excess)] = True
@@ -146,35 +152,41 @@ def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.nd
     return hi * 2**32 + lo
 
 
-def _from_tokens(n, starts, elems, weights, excess, r_scaled) -> FeatureAllocation:
+def _from_tokens(n, starts, tokens, excess, r_scaled) -> FeatureAllocation:
     """The allocation whose block i is the non-empty run of (element, weight)
-    tokens from ``starts[i]`` to ``starts[i + 1]`` of int64 buffers. Repeated
-    elements fold by summing, exactly, as block sizes are checked first."""
-    starts, el, w = (np.frombuffer(a, dtype=np.int64) for a in (starts, elems, weights))
+    tokens from ``starts[i]`` to ``starts[i + 1]`` of the int64 buffers in
+    ``tokens``, [elements, weights]. The fold empties that list, so a buffer
+    nothing else holds is freed after its last use. Repeated elements fold
+    by summing, exactly, as block sizes are checked first."""
+    starts, w, el = (np.frombuffer(a, dtype=np.int64) for a in (starts, tokens.pop(), tokens.pop()))
     _block_sizes(starts, w, excess)
     # the fold sets a parse's peak memory: block ids take the narrowest
-    # dtype, and each temporary goes as soon as it is used
+    # dtype, and each array goes as soon as it is used
     nblocks = len(starts) - 1
     blk = np.repeat(np.arange(nblocks, dtype=np.min_scalar_type(nblocks)), starts[1:] - starts[:-1])
     m = int(el.max(initial=0)) + 1
-    if nblocks * m <= 2**63:  # by block, then element: one key, built in place
+    if el.min(initial=0) >= 0 and nblocks * m <= 2**63:  # by block, then element: one key
         key = blk.astype(np.int64)
         key *= m
         key += el
-        order = np.argsort(key, kind="stable")
+        del blk, el  # the elements' buffer goes: the folded keys give them back
+        cols = [key[order := np.argsort(key, kind="stable")]]
         del key
-    else:  # the key would pass int64
-        order = np.lexsort((el, blk))
-    el, w, blk = el[order], w[order], blk[order]
+    else:  # the key would pass int64, or an element is negative
+        cols = [blk[order := np.lexsort((el, blk))], el[order]]
+        del blk, el
+    w = w[order]
     del order
-    new = np.ones(len(el), dtype=bool)
-    new[1:] = (el[1:] != el[:-1]) | (blk[1:] != blk[:-1])
+    new = np.ones(len(w), dtype=bool)
+    new[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in cols])
     first = np.flatnonzero(new)
     del new
     w = np.add.reduceat(w, first)
-    el, blk = el[first], blk[first]
+    cols = [c[first] for c in cols]
     del first
+    blk, el = np.divmod(cols.pop(), m) if len(cols) == 1 else cols
     indptr = np.append(0, np.cumsum(np.bincount(blk, minlength=nblocks)))
+    del blk
     return FeatureAllocation(n, indptr, el, w, r_scaled)
 
 
@@ -217,7 +229,7 @@ def cod(g: FeatureAllocation) -> COD:
 
 _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
 # Tokens per numpy pass: its per-token int64 temporaries then stay near
-# 1 MiB, so the fold at the end, not the pass, sets the parse's peak memory.
+# 1 MiB, well below the fold at the end, which sets the parse's peak memory.
 _CHUNK_TOKENS = 2**12
 # bytes.translate table: keeps the bytes a certified token may hold, others become 0
 _TOKEN_BYTES = bytes(c if chr(c) in "0123456789 :." else 0 for c in range(256))
@@ -233,9 +245,14 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
     from array import array  # not at module level: `import gea.cli` loads no more modules
 
     n = r_scaled = None
-    starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
+    # [elements, weights], handed to the fold, which frees each after its last use
+    starts, tokens, excess = array("q", [0]), [array("q"), array("q")], Counter()
     linenos, toks = array("q"), []  # each block's line; tokens not yet converted
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    del text  # freed here unless the caller keeps a reference (gea's CLI keeps none)
+    lines.reverse()  # popped from the end, so each line goes once it is read
+    for lineno in range(1, len(lines) + 1):
+        raw = lines.pop()
         line = raw.split()
         if not line or line[0][0] == "#":
             continue
@@ -260,22 +277,22 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
         starts.append(starts[-1] + len(line))
         toks += line
         if len(toks) >= _CHUNK_TOKENS:
-            _convert(toks, n, linenos, starts, elems, weights, excess)
+            _convert(toks, n, linenos, starts, tokens, excess)
             toks = []
     if n is None:
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
-    _convert(toks, n, linenos, starts, elems, weights, excess)
+    _convert(toks, n, linenos, starts, tokens, excess)
     del toks, linenos  # not needed by the fold
-    # exact-size copies: the fold, the parse's peak, then holds no growth slack
-    elems, weights = array("q", elems), array("q", weights)
-    return _from_tokens(n, starts, elems, weights, excess, r_scaled)
+    return _from_tokens(n, starts, tokens, excess, r_scaled)
 
 
-def _convert(toks, n, linenos, starts, elems, weights, excess) -> None:
+def _convert(toks, n, linenos, starts, tokens, excess) -> None:
     """Append ``toks``, the next tokens of the blocks laid out by ``starts``
-    (from line ``linenos[i]`` for block i), to the int64 buffers. The byte
-    pass converts every token it certifies; the others take the scalar check
-    in file order, which converts each or raises the error naming its line."""
+    (from line ``linenos[i]`` for block i), to the int64 buffers ``tokens``
+    of elements and weights. The byte pass converts every token it
+    certifies; the others take the scalar check in file order, which
+    converts each or raises the error naming its line."""
+    elems, weights = tokens
     for i in range(0, len(toks), _CHUNK_TOKENS):
         chunk = toks[i : i + _CHUNK_TOKENS]
         data = (" ".join(chunk) + " ").encode("utf-8", "replace")

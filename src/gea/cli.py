@@ -29,9 +29,11 @@ from .categorize import CategorizationParams, NumericDataset, categorize, minmax
 from .entropy import generalized_entropy
 
 
-def _read_text(path) -> str:
+def _read_text(path, unicode_lines: bool = False) -> str:
     """A UTF-8 input file's text, a leading byte-order mark skipped. Errors
-    name the file, and for bad UTF-8 the 1-based line of the first bad byte."""
+    name the file, and for bad UTF-8 the 1-based line of the first bad byte:
+    lines end at \\n, \\r or \\r\\n as in csv or, with ``unicode_lines``, at
+    every break of ``str.splitlines``, as in the allocation parser."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -39,7 +41,10 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # offsets count from after a BOM
-        line = len(exc.object[: exc.start + 1].splitlines())  # \n, \r or \r\n ends a line
+        head = exc.object[: exc.start + 1]  # up to the bad byte
+        if unicode_lines:  # the valid prefix, and a stand-in for the bad byte
+            head = head[:-1].decode("utf-8") + "?"
+        line = len(head.splitlines())
         bad = exc.object[exc.start]
         raise ValueError(f"{path}: line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
 
@@ -102,9 +107,10 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
 def parse_allocation(path, r_override: str | None = None) -> FeatureAllocation:
     """Read an allocation text file. ``r_override`` (a decimal string)
     replaces the header's recurrence base, with a warning when they differ."""
-    text = _read_text(path)
+    # popped into the call, so the parser holds the only reference and frees it early
+    text = [_read_text(path, unicode_lines=True)]
     try:
-        g = parse_allocation_text(text)
+        g = parse_allocation_text(text.pop())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if r_override is not None:

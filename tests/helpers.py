@@ -209,7 +209,15 @@ def reference_parse_allocation_text(text: str) -> FeatureAllocation:
         starts.append(len(elems))
     if n is None:
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
-    return _from_tokens(n, starts, elems, weights, excess, r_scaled)
+    return _from_tokens(n, starts, [elems, weights], excess, r_scaled)
+
+
+def weighted_lines(rng, count, n=50, width=(2, 12)):
+    """``count`` block lines of random ``element:weight`` tokens."""
+    return [
+        " ".join(f"{rng.randint(1, n)}:{rng.randint(1, 20) / 4}" for _ in range(rng.randint(*width)))
+        for _ in range(count)
+    ]
 
 
 def simpson(f, a: float, b: float, intervals: int) -> float:

@@ -16,7 +16,7 @@ from gea.allocation import (
     parse_allocation_text,
 )
 
-from helpers import random_allocation, reference_parse_allocation_text
+from helpers import random_allocation, reference_parse_allocation_text, weighted_lines
 
 
 # --- blocks as arrays ---------------------------------------------------------
@@ -55,6 +55,13 @@ def test_block_entries_sorted_and_validated():
     ]:
         with pytest.raises(ValueError):
             FeatureAllocation(6, indptr, elems, weights)
+
+
+def test_negative_element_in_a_later_block_is_rejected():
+    # the fold's one key, block id times m plus element, would read element
+    # -1 of block 1 as element m - 1 = 0 of block 0 and sum the two
+    with pytest.raises(ValueError, match="outside"):
+        FeatureAllocation.from_weights(3, [{0: 1}, {-1: 1}])
 
 
 def test_views_given_to_the_constructor_are_copied():
@@ -427,14 +434,6 @@ def test_fold_sorts_by_one_key_unless_it_would_pass_int64(blocks, lexsorted):
     assert g.weights.tolist() == [fp.SCALE // 2, 2 * fp.SCALE, 3 * fp.SCALE] * blocks
 
 
-def weighted_lines(rng, count, n=50, width=(2, 12)):
-    """``count`` block lines of random ``element:weight`` tokens."""
-    return [
-        " ".join(f"{rng.randint(1, n)}:{rng.randint(1, 20) / 4}" for _ in range(rng.randint(*width)))
-        for _ in range(count)
-    ]
-
-
 def test_chunk_edges_inside_and_between_lines():
     size = allocation._CHUNK_TOKENS
     rng = random.Random(5)
@@ -462,6 +461,27 @@ def test_bad_token_in_a_later_chunk_names_its_line(bad):
         with pytest.raises(ValueError, match=f"^line {where}: ") as exc:
             parse_allocation_text(text)
         assert str(exc.value) == outcome(reference_parse_allocation_text, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, allocation._CHUNK_TOKENS])
+@pytest.mark.parametrize("bad", [None, "4:x"])
+def test_every_line_break_over_a_long_text(bad, chunk):
+    # the parser pops each line off the list of lines as it reads it; over
+    # two chunks of tokens, every break str.splitlines knows, blank and
+    # comment lines among them, keeps each line's number
+    rng = random.Random(9)
+    body = []
+    for _ in range(150):
+        for brk in LINE_BREAKS:
+            body += [weighted_lines(rng, 1, n=9, width=(1, 3))[0], brk, brk, "\n", "# 1:x", brk]
+            body += ["2", brk, "\n", brk, " 3:0.5\t1 ", "\n"]
+    body.insert(len(body) // 2 + 1, f"5 {bad}\n" if bad else "")
+    text = "n=9 r=1.0\n" + "".join(body)
+    assert len(text.split()) > 2 * allocation._CHUNK_TOKENS
+    want = outcome(reference_parse_allocation_text, text)
+    assert isinstance(want, str) == bool(bad)
+    with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+        assert outcome(parse_allocation_text, text) == want
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,11 @@
 import io
 import json
 import math
+import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -16,6 +19,8 @@ from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
 from gea.allocation import FeatureAllocation, format_allocation_text
 from gea.categorize import CategorizationParams, NumericDataset, categorize
 from gea.cli import main, parse_allocation, parse_csv
+
+from helpers import weighted_lines
 
 IRIS = str(resources.files("gea") / "data" / "iris.csv")
 
@@ -413,6 +418,57 @@ def test_invalid_utf8_names_file_and_line(tmp_path, capsys, data, argv):
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}: line 2: not valid UTF-8 (byte 0xff)\n"
     assert captured.out == ""
+
+
+NUMERIC = ["cluster", "--mode", "numeric", "--d", "2", "--m", "1", "--gamma", "1"]
+
+
+@pytest.mark.parametrize(
+    "layout, stand_in, argv, line",
+    [
+        (b"n=2 r=1.0\n1:1\x0c2:1\n%s\n", b"3:1", ["entropy"], 4),
+        (b"n=2 r=1.0\xe2\x80\xa81\x1c\r\n2 %s\x85", b"3", ["cluster", "--mode", "allocation"], 4),
+        (b"a\n1\x0c\n%s\n", b"x", NUMERIC, 3),
+        (b"a\r\n1\xe2\x80\xa8\r%s\n", b"x", NUMERIC, 3),
+    ],
+    ids=["entropy", "allocation", "numeric", "numeric-u2028"],
+)
+def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, layout, stand_in,
+                                                           argv, line):
+    # allocation mode counts lines at every break str.splitlines knows, as
+    # its parser does; numeric mode at \n, \r and \r\n only, as csv does
+    path = tmp_path / "in.txt"
+    for filler in (stand_in, b"\xff"):
+        path.write_bytes(layout % filler)
+        assert main([*argv, "--input", str(path)]) == 1
+        named = re.match(rf"error: {re.escape(str(path))}: (line|row) (\d+)", capsys.readouterr().err)
+        assert int(named.group(2)) == line, filler
+
+
+def test_entropy_pass_peak_memory_per_token(tmp_path):
+    # A parse's peak is the larger of two phases. The token loop starts
+    # from the list of lines (17 bytes a token in this file), the text (9.3)
+    # gone; the list shrinks as the element and weight buffers (16) fill, and
+    # one chunk's temporaries add about 11. The fold holds four int64 arrays
+    # as long as the tokens, 32 bytes a token: the weights, the one-key sort
+    # key, its order and one reordered copy, the element buffer gone. 48
+    # leaves room for growth slack and fixed costs, not for the list of lines
+    # kept beside the buffers to the fold; the parse that kept it and the
+    # text took 66 bytes a token.
+    text = "\n".join(["n=5000 r=1.0", *weighted_lines(random.Random(11), 14_300, n=5000)]) + "\n"
+    tokens = len(text.split()) - 2
+    assert tokens == 100_715
+    path = write(tmp_path, "a.txt", text)
+    del text
+    with redirect_stdout(io.StringIO()):
+        assert main(["entropy", "--input", path]) == 0  # warm-up: lazy imports
+        tracemalloc.start()
+        try:
+            assert main(["entropy", "--input", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 48 * tokens, peak / tokens
 
 
 # --- exit codes on arbitrary allocation text ---------------------------------------
