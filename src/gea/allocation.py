@@ -14,19 +14,19 @@ categorization build the arrays once; everything else reads them as arrays.
 All types are immutable (the arrays are read-only) and all operations are
 pure, so values can be shared freely across threads.
 
-The text parser splits lines and tokens with ``str.splitlines`` and
-``str.split``, then converts the tokens with numpy, a bounded chunk at a
-time: one pass over each chunk's bytes checks the token grammar and reads the
-digits. A token it cannot certify (Unicode digits, a signed weight, over six
-decimals, a field too long for int64, a malformed token) takes the scalar
-check, which converts it exactly or raises the error naming its line. The
-text goes once it is split, each line once it is read, and each token buffer
+The text parser encodes the text to UTF-8 once, non-ASCII whitespace mapped
+to ASCII first, and walks its bytes in pieces of a bounded number of tokens:
+numpy finds each piece's tokens, the lines they open and the comment lines,
+checks the token grammar and reads the digits. A token it cannot certify
+(Unicode digits, a signed weight, over six decimals, a field too long for
+int64, a malformed token) takes the scalar check, which converts it exactly
+or raises the error naming its line, counted from the token's byte offset.
+The text goes once encoded, its bytes before the fold, and each token array
 after the fold's last use of it: the fold at the end sets the peak memory.
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,6 +120,8 @@ class FeatureAllocation:
             if not m:
                 raise ValueError(f"block {i} must be non-empty")
             for e, x in m.items():
+                if isinstance(n, int) and not 0 <= e < n:  # before the int64 buffers
+                    raise ValueError(f"block references an element outside [0, {n})")
                 if (w := fp.from_number(x)) <= 0:
                     raise ValueError(f"block {i}, element {e}: weight must be positive")
                 elems.append(e)
@@ -231,141 +233,164 @@ _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
 # Tokens per numpy pass: its per-token int64 temporaries then stay near
 # 1 MiB, well below the fold at the end, which sets the parse's peak memory.
 _CHUNK_TOKENS = 2**12
-# bytes.translate table: keeps the bytes a certified token may hold, others become 0
-_TOKEN_BYTES = bytes(c if chr(c) in "0123456789 :." else 0 for c in range(256))
+# Non-ASCII whitespace to ASCII: the line breaks to \x1e, also a break of
+# str.splitlines that never pairs with \r, the others to a space
+_UNICODE_SPACES = str.maketrans(
+    "\x85\u2028\u2029\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
+    "\u200a\u202f\u205f\u3000", "\x1e" * 3 + " " * 16
+)
+# The whitespace bytes left: line breaks, \r\n collapsed to \n, and blanks
+_BREAKS, _BLANKS = b"\n\v\f\r\x1c\x1d\x1e", b"\t\x1f "
+_SPACE = re.compile(rb"[\t-\r\x1c-\x20]")
+# blank and comment lines, then the header line
+_PREAMBLE = re.compile(
+    rb"(?:[\t\x1f ]*(?:#[^\n\v\f\r\x1c-\x1e]*)?[\n\v\f\r\x1c-\x1e])*[\t\x1f ]*([^\n\v\f\r\x1c-\x1e]*)"
+)
+# bytes.translate table to byte classes: digits, ':' and '.' stay, a line
+# break becomes 10, a blank 32 and any other byte 255
+_CLASSES = bytes(c if c in b"0123456789:." else 10 if c in _BREAKS else 32 if c in _BLANKS else 255
+                 for c in range(256))
 
 
 def parse_allocation_text(text: str) -> FeatureAllocation:
     """Parse the allocation text format. Raises ValueError with a line number
     on malformed input.
 
-    Python splits lines and tokens; numpy converts the tokens in bounded
-    chunks and hands each token it cannot certify to the scalar check.
+    The text is encoded to UTF-8 once; numpy finds the lines, tokens and
+    comments in its bytes and converts the tokens a bounded piece at a time.
     """
-    from array import array  # not at module level: `import gea.cli` loads no more modules
-
-    n = r_scaled = None
-    # [elements, weights], handed to the fold, which frees each after its last use
-    starts, tokens, excess = array("q", [0]), [array("q"), array("q")], Counter()
-    linenos, toks = array("q"), []  # each block's line; tokens not yet converted
-    lines = text.splitlines()
+    if not text.isascii():
+        text = text.translate(_UNICODE_SPACES)
+    data = text.encode("utf-8", "surrogatepass")
     del text  # freed here unless the caller keeps a reference (gea's CLI keeps none)
-    lines.reverse()  # popped from the end, so each line goes once it is read
-    for lineno in range(1, len(lines) + 1):
-        raw = lines.pop()
-        line = raw.split()
-        if not line or line[0][0] == "#":
-            continue
-        if n is None:
-            m = _HEADER_RE.match(raw.strip())
-            if not m:
-                raise ValueError(f"line {lineno}: expected header 'n=<int> r=<decimal>'")
-            n = fp.bounded_int(m.group(1))
-            if n is None or n > _INT64_MAX:  # elements go to int64 buffers
-                shown = fp.cut(m.group(1) if n is None else str(n))
-                raise ValueError(
-                    f"line {lineno}: element count must be an int in [0, 2**63), got {shown}"
-                )
-            try:
-                r_scaled = fp.from_decimal(m.group(2))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad recurrence base: {exc}") from None
-            if r_scaled <= 0:
-                raise ValueError(f"line {lineno}: recurrence base must be positive")
-            continue
-        linenos.append(lineno)
-        starts.append(starts[-1] + len(line))
-        toks += line
-        if len(toks) >= _CHUNK_TOKENS:
-            _convert(toks, n, linenos, starts, tokens, excess)
-            toks = []
-    if n is None:
+    if b"\r" in data:  # one break, as in str.splitlines
+        data = data.replace(b"\r\n", b"\n")
+    at, end = _PREAMBLE.match(data).span(1)  # the header line
+    if at == end or data[at] == 35:  # no line left, or a '#' line that no break ends
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
-    _convert(toks, n, linenos, starts, tokens, excess)
-    del toks, linenos  # not needed by the fold
+    lineno = _lineno(data, at)
+    m = _HEADER_RE.match(data[at:end].decode("utf-8", "surrogatepass").rstrip())
+    if not m:
+        raise ValueError(f"line {lineno}: expected header 'n=<int> r=<decimal>'")
+    n = fp.bounded_int(m.group(1))
+    if n is None or n > _INT64_MAX:  # elements go to int64 buffers
+        shown = fp.cut(m.group(1) if n is None else str(n))
+        raise ValueError(f"line {lineno}: element count must be an int in [0, 2**63), got {shown}")
+    try:
+        r_scaled = fp.from_decimal(m.group(2))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: bad recurrence base: {exc}") from None
+    if r_scaled <= 0:
+        raise ValueError(f"line {lineno}: recurrence base must be positive")
+    cols, excess = _blocks(data, end, n)
+    del data  # not needed by the fold
+    starts, *tokens = (np.concatenate(cols.pop(0)) for _ in range(3))  # each list goes once joined
     return _from_tokens(n, starts, tokens, excess, r_scaled)
 
 
-def _convert(toks, n, linenos, starts, tokens, excess) -> None:
-    """Append ``toks``, the next tokens of the blocks laid out by ``starts``
-    (from line ``linenos[i]`` for block i), to the int64 buffers ``tokens``
-    of elements and weights. The byte pass converts every token it
-    certifies; the others take the scalar check in file order, which
-    converts each or raises the error naming its line."""
-    elems, weights = tokens
-    for i in range(0, len(toks), _CHUNK_TOKENS):
-        chunk = toks[i : i + _CHUNK_TOKENS]
-        data = (" ".join(chunk) + " ").encode("utf-8", "replace")
-        el, w, ok = _scan(data.translate(_TOKEN_BYTES), n)
+def _lineno(data: bytes, at: int) -> int:
+    """The 1-based line of byte ``at``: one more than the breaks before it."""
+    return 1 + sum(data.count(c, 0, at) for c in _BREAKS)
+
+
+def _blocks(data: bytes, p: int, n: int):
+    """The blocks from byte ``p`` on: three lists of int64 arrays, one of each
+    per piece of at most _CHUNK_TOKENS tokens, of its blocks' first tokens
+    (the token count last), its elements and its weights; and per block, the
+    units its weights hold beyond int64. Comment lines are dropped."""
+    cols, excess = [[np.zeros(0, dtype=np.int64)] for _ in range(3)], Counter()
+    count = blocks = 0  # tokens and blocks so far
+    opening, comment = True, False  # a break since the last token; the last line a comment
+    while p < len(data):
+        # a window of 8 bytes a token, extended to whitespace: it cuts no token
+        ws = _SPACE.search(data, p + 8 * _CHUNK_TOKENS - 1)
+        piece = data[p : ws.start() if ws else len(data)]
+        b = np.frombuffer(piece.translate(_CLASSES), np.uint8)
+        edges = np.flatnonzero(np.diff(b <= 32, prepend=True, append=True))
+        s, e = edges[::2], edges[1::2]  # each token's first byte and its end
+        stop = s[_CHUNK_TOKENS] if len(s) > _CHUNK_TOKENS else len(b)  # the piece's end
+        s, e, b = s[:_CHUNK_TOKENS], e[:_CHUNK_TOKENS], b[:stop]
+        # a token opens a line if a break follows the token before it; the
+        # piece's end too, for the next piece's first token
+        brks = np.searchsorted(np.flatnonzero(b == 10), np.append(s, stop))
+        gap = np.diff(brks, prepend=-opening) > 0
+        opens, opening = gap[:-1], bool(gap[-1])
+        if comment or b"#" in piece:  # per line, whether it is a comment, the last piece's first
+            comments = np.append(comment, np.frombuffer(piece, np.uint8)[s[opens]] == 35)
+            comment = bool(comments[-1])
+            keep = ~comments[np.cumsum(opens)]
+            s, e, opens = s[keep], e[keep], opens[keep]
+        first = np.flatnonzero(opens)
+        el, w, ok = _scan(b, s, e, n)
         for t in np.flatnonzero(~ok).tolist():
-            block = bisect_right(starts, len(elems) + t) - 1  # the token's block
-            el[t], weight = _token(chunk[t], linenos[block], n)
+            at = p + int(s[t])
+            try:
+                el[t], weight = _token(data[at : p + int(e[t])].decode("utf-8", "surrogatepass"), n)
+            except ValueError as exc:
+                raise ValueError(f"line {_lineno(data, at)}: {exc}") from None
             w[t] = min(weight, _INT64_MAX)
             if weight > _INT64_MAX:  # so is its block's size, reported once all lines parse
-                excess[block] += weight - _INT64_MAX
-        elems.frombytes(el.tobytes())
-        weights.frombytes(w.tobytes())
+                excess[blocks + int(np.searchsorted(first, t, "right")) - 1] += weight - _INT64_MAX
+        for col, a in zip(cols, (count + first, el, w)):
+            col.append(a)
+        count, blocks, p = count + len(s), blocks + len(first), p + int(stop)
+    cols[0].append(np.array([count]))
+    return cols, excess
 
 
-def _scan(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The byte pass. ``data`` holds tokens, each followed by one space, with
-    every byte no certified token holds replaced by 0. Per token: the 0-based
-    element id, the weight in fixed-point units, and whether both are
-    certified: the token is ``element[:weight]``, an element of at most 18
-    digits in 1..n and an unsigned positive weight of at most 12 digits before
-    the point and 6 after it. Uncertified tokens' values are junk."""
-    b = np.frombuffer(data, dtype=np.uint8)
+def _scan(b: np.ndarray, s: np.ndarray, e: np.ndarray, n: int):
+    """The byte pass. ``b`` holds a piece's bytes as classes: digits, ':' and
+    '.' as themselves, whitespace as 32 or less and any other byte as 255;
+    token i is bytes s[i] to e[i] - 1. Per token: the 0-based element id,
+    the weight in fixed-point units, and whether both are certified: the
+    token is ``element[:weight]``, an element of at most 18 digits in 1..n
+    and an unsigned positive weight of at most 12 digits before the point
+    and 6 after it. Uncertified tokens' values are junk."""
     digit = b - 48  # uint8: the value of a digit byte, 10 or more for others
-    e = np.flatnonzero(b == 32)  # each token's end
-    s = np.concatenate(([0], e[:-1] + 1))
-
-    def first(mask):  # per token: its first byte in mask (its end if none), and if it has two
-        at = np.append(np.flatnonzero(mask), [len(b), len(b)])
-        i = np.searchsorted(at, s)
-        return np.minimum(at[i], e), at[i + 1] < e
-
-    other, _ = first(b == 0)
-    c, colons = first(b == 58)
-    d, dots = first(b == 46)
-    colon = c < e
+    # per token, its first three bytes that are not digits, counting the one after it
+    at = np.append(np.flatnonzero(digit > 9), [len(b)] * 3)
+    i = np.searchsorted(at, s)
+    c, d = at[i], np.minimum(at[i + 1], e)  # a certified token's ':' and '.', or its end
+    colon, point = c < e, d < e
     le, lw, lf = c - s, d - c - 1, e - d - 1  # element, whole and fraction lengths
-    ok = (other == e) & ~(colons | dots) & (le >= 1) & (le <= 18) & (lw <= 12) & (lf <= 6)
-    ok &= d >= c  # a dot only in the weight
-    ok &= ~colon | np.where(d < e, lf >= 1, lw >= 1)  # digits, and some after a point
+    ok = (at[i + 2] >= e) & (le >= 1) & (le <= 18) & (lw <= 12) & (lf <= 6)
+    ok &= (~colon | (b.take(c, mode="clip") == 58)) & (~point | (b.take(d, mode="clip") == 46))
+    ok &= ~colon | np.where(point, lf >= 1, lw >= 1)  # digits, and some after a point
 
-    def read(start, count, lo, hi):  # per token, digits start..start+count-1, 0 outside lo..hi-1
+    def read(start, count, valid):  # per token, digits start..start+count-1, 0 where not valid(k)
         v = np.zeros(len(e), dtype=np.int64)
         for k in range(count):
-            at = start + k
-            v = v * 10 + np.where((at >= lo) & (at < hi), digit.take(at, mode="clip"), 0)
+            v *= 10
+            v += np.where(valid(k), digit.take(start + k, mode="clip"), 0)
         return v
 
-    ke, kw = (int(x.max(where=ok, initial=0)) for x in (le, lw))
-    elem = read(c - ke, ke, s, c)
-    frac = read(d + 1, 6, d + 1, e)
-    w = np.where(colon, read(d - kw, kw, c + 1, d) * fp.SCALE + frac, fp.SCALE)
+    ke, kw, kf = (int(x.max(where=ok, initial=0)) for x in (le, lw, lf))
+    pe, pw = ke - le, kw - lw  # the zeros that right-align the element and the whole part
+    elem = read(c - ke, ke, lambda k: k >= pe)
+    frac = read(d + 1, kf, lambda k: k < lf) * 10 ** (6 - kf)  # to the longest certified fraction
+    w = np.where(colon, read(d - kw, kw, lambda k: k >= pw) * fp.SCALE + frac, fp.SCALE)
     ok &= (elem >= 1) & (elem <= n) & (w > 0)
     return elem - 1, w, ok
 
 
-def _token(tok: str, lineno: int, n: int) -> tuple[int, int]:
+def _token(tok: str, n: int) -> tuple[int, int]:
     """The 0-based element id and the weight, in fixed-point units, of one
-    token, read with str and int; ValueError naming ``lineno`` if invalid."""
+    token, read with str and int; ValueError if invalid."""
     elem_s, colon, weight_s = tok.partition(":")
     if not elem_s.isdecimal():
-        raise ValueError(f"line {lineno}: malformed token {fp.cut(tok)!r}")
+        raise ValueError(f"malformed token {fp.cut(tok)!r}")
     elem = fp.bounded_int(elem_s)
     if elem is None or not 1 <= elem <= n:
         shown = fp.cut(elem_s if elem is None else str(elem))
-        raise ValueError(f"line {lineno}: element {shown} outside 1..{n}")
+        raise ValueError(f"element {shown} outside 1..{n}")
     weight = fp.SCALE
     if colon:
         try:
             weight = fp.from_decimal(weight_s)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed token {fp.cut(tok)!r}: {exc}") from None
+            raise ValueError(f"malformed token {fp.cut(tok)!r}: {exc}") from None
         if weight <= 0:
-            raise ValueError(f"line {lineno}: non-positive weight in {fp.cut(tok)!r}")
+            raise ValueError(f"non-positive weight in {fp.cut(tok)!r}")
     return elem - 1, weight
 
 

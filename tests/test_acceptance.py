@@ -185,7 +185,7 @@ def test_determinism_byte_identical(report, tmp_path):
                 "--mode", "numeric", "--d", "10", "--m", "5", "--gamma", "3",
                 "--r", "1", "--label-col", "species", "--output", str(target),
             ],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(target.read_bytes())

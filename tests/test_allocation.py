@@ -1,5 +1,6 @@
 """Feature allocations and their CSR arrays, size tallies, text format."""
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -36,7 +37,7 @@ def test_block_entries_sorted_and_validated():
     for arr in (g.indptr, g.elems, g.weights, g.sizes):
         with pytest.raises(ValueError):  # read-only
             arr[0] = 1
-    for bad in ({}, {0: 0}, {0: -1}, {-1: 1}):
+    for bad in ({}, {0: 0}, {0: -1}, {-1: 1}, {2**63 - 1: 1}, {2**63: 1}):
         with pytest.raises(ValueError):
             FeatureAllocation.from_weights(6, [bad])
     # the constructor checks arrays it is given the same way
@@ -466,8 +467,7 @@ def test_bad_token_in_a_later_chunk_names_its_line(bad):
 @pytest.mark.parametrize("chunk", [1, 3, allocation._CHUNK_TOKENS])
 @pytest.mark.parametrize("bad", [None, "4:x"])
 def test_every_line_break_over_a_long_text(bad, chunk):
-    # the parser pops each line off the list of lines as it reads it; over
-    # two chunks of tokens, every break str.splitlines knows, blank and
+    # over two chunks of tokens, every break str.splitlines knows, blank and
     # comment lines among them, keeps each line's number
     rng = random.Random(9)
     body = []
@@ -482,6 +482,64 @@ def test_every_line_break_over_a_long_text(bad, chunk):
     assert isinstance(want, str) == bool(bad)
     with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
         assert outcome(parse_allocation_text, text) == want
+
+
+LONG = "123456789012345678:123456789012.123456"  # certified, and longer than 24 bytes
+PIECE_EDGES = {
+    "inside the header line": [
+        "n=9 r=1.0\n1 2\n",
+        "# a b c d e f\n  n=000000009 \t\x1f r=0001.250000  \n1 2:0.5\n",
+        "\n\n n=9\u3000\u3000\u3000\u3000r=\u0662.5\u2028 3\n",
+        "n=9 r=1.0 x y z\n1\n",
+        "n=9                      r=1.0",
+    ],
+    "inside a comment line": [
+        "n=9 r=1.0\n1 2\n# 3 4 5 6 7 8 9 1:x\n5 6\n  # 1\n\t#x 1 2 3\n7\n# 8 9 without a break",
+        "# 1 2 3 4 5 6 7 8\nn=9 r=1.0\n#\n# 1:x 2:x 3:x 4:x 5:x\n1 2#\n",
+        "n=9 r=1.0\n" + "# 1 2 3\n1:0.5 2 3\n" * 9 + "4:x\n",
+    ],
+    "between \\r and \\n": [  # each with and without a bad token at the end
+        *("n=9 r=1.0\r\n" + "".join(f"1{' ' * pad}2\r\n" for pad in range(1, 30)) + end
+          for end in ("3 4\r\n", "3 4:x\r\n")),
+        *("n=9 r=1.0\r\n" + "".join(f"{'5 ' * k}6\r\r\n\n\r" for k in range(12)) + end
+          for end in ("\r\n 7", "\r\n 7:x")),
+    ],
+    "before a run of blank lines": [
+        *("n=9 r=1.0\n1 2 3\n\n\n\n \n\t\n4 5 6\n\n\n\n" + "\n" * 30 + end for end in ("7\n", "7:x\n")),
+        *("n=9 r=1.0\n" + "".join(f"{k}\n" + "\n \x1c\u2029" * k for k in range(1, 10)) + end
+          for end in ("1", "1:x")),
+    ],
+    "inside a token longer than a piece's byte window": [
+        f"n=999999999999999999 r=1.0\n{LONG} 1 {LONG}\n{LONG}\n7 {LONG}",
+        "n=9 r=1.0\n1 0000000000000000000000000000001:1 2:0000000000000000000000000.5\n3",
+        "n=9 r=1.0\n1\n2 1:" + "9" * 40 + " 3\n",
+        "n=9 r=1.0\n1\n2 3 " + "1:" + "7" * 40 + "x\n",
+    ],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("where", PIECE_EDGES)
+def test_piece_edges(where, chunk):
+    # pieces of 1 and 3 tokens have byte windows of 8 and 24 bytes, so piece
+    # and window edges fall at every kind of place in these texts
+    for text in PIECE_EDGES[where]:
+        want = outcome(reference_parse_allocation_text, text)
+        with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+            assert outcome(parse_allocation_text, text) == want, text
+
+
+def test_unicode_whitespace_table_is_this_pythons():
+    # every non-ASCII character str.split() splits at maps to ASCII
+    # whitespace, a line break of str.splitlines to \x1e, which stays one
+    # break after a \r, as \x85, \u2028 and \u2029 do, where \n would not
+    spaces = [c for c in range(0x80, sys.maxunicode + 1) if chr(c).isspace()]
+    breaks = [c for c in range(0x80, sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) == 2]
+    table = allocation._UNICODE_SPACES
+    assert sorted(table) == spaces
+    assert sorted(c for c, to in table.items() if to == ord("\x1e")) == breaks
+    assert {chr(to) for c, to in table.items() if c not in breaks} == {" "}
+    assert "a\r\x1eb".splitlines() == ["a", "", "b"]
 
 
 @pytest.mark.parametrize(

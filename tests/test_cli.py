@@ -42,7 +42,7 @@ def write(tmp_path, name, text):
 def cli(*args):
     """Run the installed console entry point in a fresh process."""
     return subprocess.run(
-        [sys.executable, "-m", "gea", *args], capture_output=True, text=True
+        [sys.executable, "-m", "gea", *args], capture_output=True, text=True, encoding="utf-8"
     )
 
 
@@ -210,9 +210,9 @@ def test_newick_and_both_formats(tmp_path):
         "--output", str(target),
     )
     assert out.returncode == 0
-    dend = json.loads((tmp_path / "tree.json").read_text())
+    dend = json.loads((tmp_path / "tree.json").read_text(encoding="utf-8"))
     jsonschema.validate(dend, DENDROGRAM_JSON_SCHEMA)
-    assert (tmp_path / "tree.nwk").read_text().startswith("[raw heights: ")
+    assert (tmp_path / "tree.nwk").read_text(encoding="utf-8").startswith("[raw heights: ")
 
 
 def test_entropy_subcommand(tmp_path):
@@ -446,15 +446,15 @@ def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, lay
 
 
 def test_entropy_pass_peak_memory_per_token(tmp_path):
-    # A parse's peak is the larger of two phases. The token loop starts
-    # from the list of lines (17 bytes a token in this file), the text (9.3)
-    # gone; the list shrinks as the element and weight buffers (16) fill, and
-    # one chunk's temporaries add about 11. The fold holds four int64 arrays
-    # as long as the tokens, 32 bytes a token: the weights, the one-key sort
-    # key, its order and one reordered copy, the element buffer gone. 48
-    # leaves room for growth slack and fixed costs, not for the list of lines
-    # kept beside the buffers to the fold; the parse that kept it and the
-    # text took 66 bytes a token.
+    # A parse's peak is the larger of two phases. The piece walk holds the
+    # file's UTF-8 bytes (9.3 bytes a token in this file), the text gone, and
+    # the element and weight arrays (16) as they fill; one piece's
+    # temporaries add about 6. The fold holds four int64 arrays as long as
+    # the tokens, 32 bytes a token: the weights, the one-key sort key, its
+    # order and one reordered copy, the elements and the bytes gone. 48
+    # leaves room for fixed costs, not for the bytes or a list of lines kept
+    # beside the arrays to the fold; the parse that kept the list of lines
+    # and the text took 66 bytes a token.
     text = "\n".join(["n=5000 r=1.0", *weighted_lines(random.Random(11), 14_300, n=5000)]) + "\n"
     tokens = len(text.split()) - 2
     assert tokens == 100_715
@@ -580,7 +580,7 @@ def test_seed_env_var_changes_nothing(tmp_path, monkeypatch):
     monkeypatch.setenv("GEA_SEED", "12345")
     seeded = subprocess.run(
         [sys.executable, "-m", "gea", "cluster", "--input", path, "--mode", "allocation"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert seeded.stdout == base.stdout
 
