@@ -21,8 +21,13 @@ checks the token grammar and reads the digits. A token it cannot certify
 (Unicode digits, a signed weight, over six decimals, a field too long for
 int64, a malformed token) takes the scalar check, which converts it exactly
 or raises the error naming its line, counted from the token's byte offset.
-The text goes once encoded, its bytes before the fold, and each token array
-after the fold's last use of it: the fold at the end sets the peak memory.
+The walk has two ends. ``parse_allocation_text`` folds the tokens into the
+CSR arrays, freeing the text once encoded, its bytes before the fold and
+each token array after the fold's last use of it; for this CSR build the
+fold sets the peak memory. ``parse_block_sizes``, for the entropy, keeps
+only each piece's block starts and weights and sums each block's weights:
+no fold, no CSR arrays. The walk sets its peak, or on blocks of one or two
+tokens the per-block sums of the size check.
 """
 from __future__ import annotations
 
@@ -68,10 +73,7 @@ class FeatureAllocation:
         n = self.n
         if not isinstance(n, int) or not 0 <= n <= _INT64_MAX:
             raise ValueError(f"element count must be an int in [0, 2**63), got {n!r}")
-        if not isinstance(self.r_scaled, int) or not 0 < self.r_scaled <= _INT64_MAX:
-            raise ValueError(
-                f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
-            )
+        _base(self.r_scaled)
         arrays = [np.asarray(getattr(self, k)) for k in _ARRAYS]
         if any(a.ndim != 1 or a.size and a.dtype.kind != "i" for a in arrays):
             raise ValueError("indptr, elems and weights must be 1-d arrays of fixed-point ints")
@@ -154,15 +156,28 @@ def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.nd
     return hi * 2**32 + lo
 
 
-def _from_tokens(n, starts, tokens, excess, r_scaled) -> FeatureAllocation:
+def _base(r_scaled, base=None) -> int:
+    """``r_scaled``, or ``base(r_scaled)`` when ``base`` is given, each checked
+    as the recurrence base of an allocation, ``r_scaled`` first."""
+    if not isinstance(r_scaled, int) or not 0 < r_scaled <= _INT64_MAX:
+        raise ValueError(
+            f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
+        )
+    return r_scaled if base is None else _base(base(r_scaled))
+
+
+def _from_tokens(n, starts, tokens, excess, r_scaled, base=None) -> FeatureAllocation:
     """The allocation whose block i is the non-empty run of (element, weight)
     tokens from ``starts[i]`` to ``starts[i + 1]`` of the int64 buffers in
     ``tokens``, [elements, weights]. The fold empties that list, so a buffer
     nothing else holds is freed after its last use. Repeated elements fold
-    by summing, exactly, as block sizes are checked first."""
+    by summing, exactly, as block sizes are checked first; then ``base``, if
+    given, maps the recurrence base as in :func:`parse_allocation_text`."""
     starts, w, el = (np.frombuffer(a, dtype=np.int64) for a in (starts, tokens.pop(), tokens.pop()))
     _block_sizes(starts, w, excess)
-    # the fold sets a parse's peak memory: block ids take the narrowest
+    if base is not None:
+        r_scaled = _base(r_scaled, base)
+    # the fold sets the CSR parse's peak memory: block ids take the narrowest
     # dtype, and each array goes as soon as it is used
     nblocks = len(starts) - 1
     blk = np.repeat(np.arange(nblocks, dtype=np.min_scalar_type(nblocks)), starts[1:] - starts[:-1])
@@ -252,13 +267,54 @@ _CLASSES = bytes(c if c in b"0123456789:." else 10 if c in _BREAKS else 32 if c 
                  for c in range(256))
 
 
-def parse_allocation_text(text: str) -> FeatureAllocation:
+def parse_allocation_text(text: str, base=None) -> FeatureAllocation:
     """Parse the allocation text format. Raises ValueError with a line number
-    on malformed input.
+    on malformed input. ``base``, if given, maps the header's recurrence base
+    to the allocation's (fixed-point units); it is called once the tokens
+    and block sizes pass, and its result is checked as the header's is.
 
     The text is encoded to UTF-8 once; numpy finds the lines, tokens and
     comments in its bytes and converts the tokens a bounded piece at a time.
     """
+    walk = _walk(text)
+    del text  # the walk frees it once encoded, unless the caller keeps it (gea's CLI does not)
+    n, r_scaled, excess = next(walk)
+    cols = list(zip(*walk))  # the pieces' block starts, elements and weights
+    starts, *tokens = (np.concatenate(cols.pop(0)) for _ in range(3))  # each list goes once joined
+    return _from_tokens(n, starts, tokens, excess, r_scaled, base)
+
+
+def parse_block_sizes(text: str, base=None) -> SimpleNamespace:
+    """What an entropy reads of allocation text: ``n``, ``r_scaled`` and
+    ``sizes``, each block's total weight as int64, equal to those fields of
+    :func:`parse_allocation_text`, with its errors and its ``base``. It runs
+    that parser's walk and size check, drops each piece's elements once
+    checked, and builds no CSR arrays. No check of the constructor could
+    fail after these: the walk checks each element against 1..n and each
+    weight for being positive, no block is empty, the size check keeps every
+    size within int64, and the recurrence base is checked here.
+    """
+    walk = _walk(text)
+    del text  # as in parse_allocation_text
+    n, r_scaled, excess = next(walk)
+    starts, weights = [], []
+    for first, _, w in walk:
+        starts.append(first)
+        weights.append(w)
+    w = np.concatenate(weights)
+    del weights
+    sizes = _block_sizes(np.concatenate(starts), w, excess)
+    return SimpleNamespace(n=n, r_scaled=_base(r_scaled, base), sizes=sizes)
+
+
+def _walk(text: str):
+    """The token walk of both parsers, a generator. It yields n, the header's
+    r_scaled and a Counter that it fills with the units each block's weights
+    hold beyond int64, then per piece of at most _CHUNK_TOKENS tokens three
+    int64 arrays: the piece's blocks' first tokens, numbered from the first
+    block, its 0-based elements and its weights; a last piece, of no tokens,
+    gives the token count. Comment lines are dropped. The header's errors
+    come with the first item, a token's with its piece."""
     if not text.isascii():
         text = text.translate(_UNICODE_SPACES)
     data = text.encode("utf-8", "surrogatepass")
@@ -282,10 +338,9 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
         raise ValueError(f"line {lineno}: bad recurrence base: {exc}") from None
     if r_scaled <= 0:
         raise ValueError(f"line {lineno}: recurrence base must be positive")
-    cols, excess = _blocks(data, end, n)
-    del data  # not needed by the fold
-    starts, *tokens = (np.concatenate(cols.pop(0)) for _ in range(3))  # each list goes once joined
-    return _from_tokens(n, starts, tokens, excess, r_scaled)
+    excess = Counter()
+    yield n, r_scaled, excess
+    yield from _blocks(data, end, n, excess)
 
 
 def _lineno(data: bytes, at: int) -> int:
@@ -293,12 +348,8 @@ def _lineno(data: bytes, at: int) -> int:
     return 1 + sum(data.count(c, 0, at) for c in _BREAKS)
 
 
-def _blocks(data: bytes, p: int, n: int):
-    """The blocks from byte ``p`` on: three lists of int64 arrays, one of each
-    per piece of at most _CHUNK_TOKENS tokens, of its blocks' first tokens
-    (the token count last), its elements and its weights; and per block, the
-    units its weights hold beyond int64. Comment lines are dropped."""
-    cols, excess = [[np.zeros(0, dtype=np.int64)] for _ in range(3)], Counter()
+def _blocks(data: bytes, p: int, n: int, excess: Counter):
+    """The pieces of :func:`_walk` from byte ``p`` on."""
     count = blocks = 0  # tokens and blocks so far
     opening, comment = True, False  # a break since the last token; the last line a comment
     while p < len(data):
@@ -331,11 +382,10 @@ def _blocks(data: bytes, p: int, n: int):
             w[t] = min(weight, _INT64_MAX)
             if weight > _INT64_MAX:  # so is its block's size, reported once all lines parse
                 excess[blocks + int(np.searchsorted(first, t, "right")) - 1] += weight - _INT64_MAX
-        for col, a in zip(cols, (count + first, el, w)):
-            col.append(a)
+        yield count + first, el, w
         count, blocks, p = count + len(s), blocks + len(first), p + int(stop)
-    cols[0].append(np.array([count]))
-    return cols, excess
+    empty = np.zeros(0, dtype=np.int64)
+    yield np.array([count]), empty, empty
 
 
 def _scan(b: np.ndarray, s: np.ndarray, e: np.ndarray, n: int):

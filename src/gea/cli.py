@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import fixedpoint as fp
 from .agglomeration import cut, gea, score_accuracy, to_json, to_newick
-from .allocation import FeatureAllocation, parse_allocation_text
+from .allocation import parse_allocation_text, parse_block_sizes
 from .categorize import CategorizationParams, NumericDataset, categorize, minmax_scale
 from .entropy import generalized_entropy
 
@@ -104,24 +104,31 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
     return NumericDataset(dims, tuple(values), tuple(labels) if labels else None)
 
 
-def parse_allocation(path, r_override: str | None = None) -> FeatureAllocation:
-    """Read an allocation text file. ``r_override`` (a decimal string)
-    replaces the header's recurrence base, with a warning when they differ."""
+def parse_allocation(path, r_override: str | None = None, parse=parse_allocation_text):
+    """Read an allocation text file with ``parse``: parse_allocation_text, or
+    parse_block_sizes where the block sizes are enough. ``r_override`` (a
+    decimal string) replaces the header's recurrence base, with a warning
+    when they differ; the file's own errors are reported first."""
+    header = []  # the header's recurrence base, once every line has parsed
+
+    def base(r_scaled):
+        header.append(r_scaled)
+        return _parse_r(r_override)
+
     # popped into the call, so the parser holds the only reference and frees it early
     text = [_read_text(path, unicode_lines=True)]
     try:
-        g = parse_allocation_text(text.pop())
+        g = parse(text.pop(), None if r_override is None else base)
     except ValueError as exc:
+        if header:  # an error of --r, not of the file
+            raise
         raise ValueError(f"{path}: {exc}") from None
-    if r_override is not None:
-        r_s = _parse_r(r_override)
-        if r_s != g.r_scaled:
-            header_r = fp.format_decimal(g.r_scaled)
-            g = FeatureAllocation(g.n, g.indptr, g.elems, g.weights, r_s)
-            print(
-                f"warning: --r {fp.format_decimal(r_s)} overrides header r={header_r}",
-                file=sys.stderr,
-            )
+    if header and g.r_scaled != header[0]:
+        print(
+            f"warning: --r {fp.format_decimal(g.r_scaled)} overrides header "
+            f"r={fp.format_decimal(header[0])}",
+            file=sys.stderr,
+        )
     return g
 
 
@@ -246,7 +253,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "entropy":
-            print(generalized_entropy(parse_allocation(args.input, args.r)))
+            print(generalized_entropy(parse_allocation(args.input, args.r, parse_block_sizes)))
         else:
             _execute(args)
         return 0

@@ -48,7 +48,8 @@ def information_sum(mass: np.ndarray, row: np.ndarray, ref: np.ndarray) -> np.nd
 
 def generalized_entropy(g: FeatureAllocation) -> float:
     """Entropy of an allocation through :func:`information_sum` over its
-    block sizes.
+    block sizes. Only ``n``, ``r_scaled`` and ``sizes`` are read, so the
+    block sizes that ``parse_block_sizes`` gives serve as well.
 
     Evaluated in double precision from the exact fixed-point sizes; the
     shared 1e-6 scale cancels inside each ratio. An empty allocation has

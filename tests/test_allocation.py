@@ -15,6 +15,7 @@ from gea.allocation import (
     cod,
     format_allocation_text,
     parse_allocation_text,
+    parse_block_sizes,
 )
 
 from helpers import random_allocation, reference_parse_allocation_text, weighted_lines
@@ -312,6 +313,16 @@ def outcome(parse, text):
     return g.n, g.r_scaled, *(getattr(g, k).tobytes() for k in ("indptr", "elems", "weights", "sizes"))
 
 
+def sizes_outcome(parse, text):
+    """What an entropy reads of a parse: n, the recurrence base and the block
+    sizes as bytes, or the message of its ValueError."""
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.r_scaled, g.sizes.tobytes()
+
+
 def unicode_digits(rng, text):
     """``text`` with about half its ASCII digits in one other script."""
     zero = ord(rng.choice(ZEROS))
@@ -377,15 +388,18 @@ def random_parser_text(rng):
 
 def test_parser_matches_the_per_token_reference():
     # same arrays byte for byte, or the same error message; small chunks
-    # put chunk edges inside lines and between a bad token and its line
+    # put chunk edges inside lines and between a bad token and its line.
+    # parse_block_sizes gives the same sizes, or the same message.
     rng = random.Random(2024)
     kinds = {"parsed": 0, "parsed non-ASCII": 0, "raised": 0, "block size": 0}
     for i in range(2_400):
         text = random_parser_text(rng)
         want = outcome(reference_parse_allocation_text, text)
+        sizes = sizes_outcome(reference_parse_allocation_text, text)
         for chunk in [allocation._CHUNK_TOKENS] + [3] * (i % 4 == 0) + [1] * (i % 20 == 0):
             with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
                 assert outcome(parse_allocation_text, text) == want, (chunk, text)
+                assert sizes_outcome(parse_block_sizes, text) == sizes, (chunk, text)
         if isinstance(want, str):
             kinds["raised"] += 1
             kinds["block size"] += "exceeds the largest supported block size" in want

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
 from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
-from gea.allocation import FeatureAllocation, format_allocation_text
+from gea.allocation import FeatureAllocation, format_allocation_text, parse_allocation_text
 from gea.categorize import CategorizationParams, NumericDataset, categorize
+from gea.entropy import generalized_entropy
 from gea.cli import main, parse_allocation, parse_csv
 
 from helpers import weighted_lines
@@ -446,15 +447,16 @@ def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, lay
 
 
 def test_entropy_pass_peak_memory_per_token(tmp_path):
-    # A parse's peak is the larger of two phases. The piece walk holds the
-    # file's UTF-8 bytes (9.3 bytes a token in this file), the text gone, and
-    # the element and weight arrays (16) as they fill; one piece's
-    # temporaries add about 6. The fold holds four int64 arrays as long as
-    # the tokens, 32 bytes a token: the weights, the one-key sort key, its
-    # order and one reordered copy, the elements and the bytes gone. 48
-    # leaves room for fixed costs, not for the bytes or a list of lines kept
-    # beside the arrays to the fold; the parse that kept the list of lines
-    # and the text took 66 bytes a token.
+    # gea entropy reads block sizes only, so no fold follows the piece walk,
+    # which sets the peak: the file's UTF-8 bytes (9.3 bytes a token in this
+    # file), the text gone, the weight arrays as they fill (8), the block
+    # starts (1.1) and one piece's temporaries, about 6; 24.8 in all. After
+    # the walk the bytes go, and joining the weights and summing them per
+    # block hold two int64 arrays as long as the tokens, 16 bytes a token.
+    # 30 leaves room for fixed costs, not for the element arrays kept to
+    # the end (8 more) or the bytes kept beside the weights; the pass that
+    # folded the tokens into CSR arrays took 33.4 bytes a token. The fold's
+    # own peak is bounded by test_parse_peak_memory_stays_within_the_reference.
     text = "\n".join(["n=5000 r=1.0", *weighted_lines(random.Random(11), 14_300, n=5000)]) + "\n"
     tokens = len(text.split()) - 2
     assert tokens == 100_715
@@ -468,7 +470,7 @@ def test_entropy_pass_peak_memory_per_token(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 48 * tokens, peak / tokens
+    assert peak <= 30 * tokens, peak / tokens
 
 
 # --- exit codes on arbitrary allocation text ---------------------------------------
@@ -515,6 +517,85 @@ def test_allocation_text_exits_only_0_or_1(tmp_path_factory, data, command, r, o
         code = main(argv)
     assert code in (0, 1), err.getvalue()
     assert "internal error" not in err.getvalue()
+
+
+# --- gea entropy reads the block sizes that the allocation holds ---------------------
+
+# repeats, comments, bare elements, elements far outside 1..n (or inside it
+# for a header n near 2**64) and weights beyond int64, beside LINES
+MORE_LINES = st.sampled_from([
+    "1 1 1:2.5 1", "2:0.5 3 2:0.5 3 2", "# a comment", "  #1:2 x", "3", "",
+    "1:99999999999999999999 2:9223372036854.775807",
+    "9223372036854775807 18446744073709551615", "18446744073709551616:1",
+])
+ENTROPY_LINES = st.tuples(LINES, st.lists(MORE_LINES, max_size=3)).flatmap(
+    lambda t: st.permutations(t[0] + t[1])
+)
+
+
+def entropy_through_the_allocation(path, override):
+    """The exit code, stdout and stderr of gea entropy as it was computed
+    from the whole allocation: generalized_entropy of parse_allocation_text,
+    rebuilt with the --r value when it differs, with the CLI's messages."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        try:
+            g = parse_allocation_text(path.read_bytes().decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if override is not None:
+            try:
+                r_s = fp.from_decimal(override)
+            except ValueError as exc:
+                raise ValueError(f"bad --r value: {exc}") from None
+            if r_s <= 0:
+                raise ValueError("--r must be positive")
+            if r_s != g.r_scaled:
+                header_r = g.r_scaled
+                g = FeatureAllocation(g.n, g.indptr, g.elems, g.weights, r_s)
+                print(f"warning: --r {fp.format_decimal(r_s)} overrides header "
+                      f"r={fp.format_decimal(header_r)}", file=err)
+        print(generalized_entropy(g), file=out)
+        return 0, out.getvalue(), err.getvalue()
+    except ValueError as exc:
+        return 1, out.getvalue(), f"{err.getvalue()}error: {exc}\n"
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 8) | st.integers(0, 2**64),
+    r=R_VALUES,
+    override=st.none() | R_VALUES,
+    lines=ENTROPY_LINES,
+)
+def test_entropy_matches_the_allocation_route(tmp_path_factory, n, r, override, lines):
+    # the same exit code, output, warning and error message, line and all
+    path = tmp_path_factory.mktemp("entropy") / "a.txt"
+    path.write_text("\n".join([f"n={n} r={r}", *lines]) + "\n", encoding="utf-8")
+    argv = ["entropy", "--input", str(path)] + ([] if override is None else ["--r", override])
+    assert run_main(argv) == entropy_through_the_allocation(path, override)
+
+
+def test_entropy_of_a_large_file_is_bit_identical_on_both_routes(tmp_path):
+    # bare elements and repeats beside weighted tokens, over many pieces
+    rng = random.Random(20)
+    lines = [
+        " ".join([line, *(str(rng.randint(1, 40)) for _ in range(rng.randint(0, 3)))])
+        for line in weighted_lines(rng, 20_000, n=40)
+    ]
+    path = write(tmp_path, "big.txt", "\n".join(["n=40 r=1.5", *lines]) + "\n")
+    for override in (None, "1.5", "0.75"):
+        want = entropy_through_the_allocation(tmp_path / "big.txt", override)
+        assert want[0] == 0 and ("warning" in want[2]) == (override == "0.75")
+        argv = ["entropy", "--input", path] + ([] if override is None else ["--r", override])
+        assert run_main(argv) == want
 
 
 # --- exit codes on arbitrary numeric CSVs ---------------------------------------
