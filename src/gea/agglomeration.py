@@ -123,17 +123,15 @@ class _Slots:
         masses in block order."""
         pa, pb = self.pos[a], self.pos[b]
         ba, bb = self.blk[pa], self.blk[pb]
-        at = ba.searchsorted(bb)  # also where b's position goes among a's
+        at = ba.searchsorted(bb)
         hit = ba[np.minimum(at, len(ba) - 1)] == bb if len(ba) else np.zeros(len(bb), bool)
         ea, eb, new = pa[at[hit]], pb[hit], pb[~hit]
         m = self.mass[ea] + self.mass[eb]
         self.mass[ea], self.f[ea] = m, _xlogx(m)
         self.mass[eb] = self.f[eb] = 0
         self.owner[new] = a
-        at = at[~hit] + np.arange(len(new))  # insert without a sort
-        p, added = np.empty(len(pa) + len(new), pa.dtype), np.zeros(len(pa) + len(new), bool)
-        p[at], added[at] = new, True
-        p[~added] = pa
+        # entries are block-major, so sorted positions are in block order; timsort merges two runs
+        p = np.sort(np.concatenate((pa, new)), kind="stable")
         m = self.mass[p]
         self.pos[a], self.pos[b] = p, pb[:0].copy()  # a view would keep all of pb
         self.total[a], self.flog[a], self.count[a] = m.astype(float).sum(), self.f[p].sum(), len(p)
@@ -169,16 +167,16 @@ class _Slots:
         return d[row[x]] + d[row[y]]
 
 
-def _batches(cum: np.ndarray, budget: int = BATCH_ENTRIES, most: int | None = None):
+def _batches(cum: np.ndarray, budget: int = BATCH_ENTRIES):
     """Bounds (lo, hi) of consecutive runs of items (blocks, or rows), with
-    entry counts summing to ``cum``, that hold at most ``budget`` entries and
-    at most ``most`` items in all, or one item."""
-    if len(cum) and cum[-1] <= budget and (most is None or len(cum) <= most):
+    entry counts summing to ``cum``, that hold at most ``budget`` entries in
+    all, or one item."""
+    if len(cum) and cum[-1] <= budget:
         return [(0, len(cum))]  # all in one: the common case, without the loop
     lo, out = 0, []
     while lo < len(cum):
         hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget, "right"))
-        out.append((lo, max(hi if most is None else min(hi, lo + most), lo + 1)))
+        out.append((lo, max(hi, lo + 1)))
         lo = out[-1][1]
     return out
 
@@ -269,10 +267,10 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     Every candidate union is scored by its projection entropy with the
     subset's own element count and the allocation's recurrence base. The
     set-up scores every pair in groups of consecutive rows, one
-    :func:`union_scores` call per group that gathers at most
-    BATCH_ENTRIES // 4 entries into at most BATCH_ENTRIES // 4 scores (a
-    row over either budget is a group of its own); a merge rescores the
-    kept slot's pairs in one call. The merge with minimal entropy wins;
+    :func:`union_scores` call per group whose gathered entries plus n
+    scores a row are at most BATCH_ENTRIES // 4 (or one row); a merge
+    rescores the kept slot's pairs in one call. Score matrices that cannot
+    be allocated raise ValueError. The merge with minimal entropy wins;
     near-exact ties (within ``TIE_TOLERANCE``) go to the union whose sorted
     element ids compare least: the least tied (row, column) slot pair.
     Decisions use :func:`information_sum` values: the decomposed scores,
@@ -313,15 +311,18 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     if n == 1:
         return Dendrogram(1, g.r_scaled, ())
 
+    # score of the union of slots a < b at [a, b]; inf below the diagonal and in the row
+    # and column of every retired slot. First: an n too large fails before any O(n) work
+    try:
+        heights = np.full((n, n), np.inf)
+        exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
+    except MemoryError:
+        raise ValueError(f"n={n} is too large: the score matrices need {9 * n * n} bytes") from None
     # slot i: entries, size (0 once retired), node id, heights row/column
     slots = _Slots(g)
     size = np.ones(n, dtype=np.int64)
     ref = np.array([float(c * g.r_scaled) for c in range(n + 1)])  # exact int c*r, rounded once
     node = list(range(n))
-    # score of the union of slots a < b at [a, b]; inf below the diagonal and
-    # in the row and column of every retired slot
-    heights = np.full((n, n), np.inf)
-    exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
     beta = 0.0  # largest error bound of any score so far
 
     def canonical(r, c):
@@ -334,14 +335,14 @@ def gea(g: FeatureAllocation) -> Dendrogram:
             out.append(information_sum(u.ravel()[at], at // u.shape[1], ref[size[x] + size[y]]))
         return np.concatenate(out)
 
-    # every pair's score, in groups of rows that gather at most BATCH_ENTRIES // 4
-    # entries (a row, those after its own in each of its blocks) into at most
-    # BATCH_ENTRIES // 4 scores, or one row; every union has two elements
+    # every pair's score, in groups of rows whose gathered entries (a row's, those
+    # after its own in each of its blocks) plus n scores a row sum to at most
+    # BATCH_ENTRIES // 4, or one row; every union has two elements
     after = slots.ptr[1:][slots.blk]
     after -= np.arange(1, len(after) + 1)
-    cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1])
+    cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1] + n)
     del after
-    for lo, hi in _batches(cum, BATCH_ENTRIES // 4, BATCH_ENTRIES // 4 // n):
+    for lo, hi in _batches(cum, BATCH_ENTRIES // 4):
         o = np.arange(lo + 1, n)  # the group's pairs lie right of its first row's diagonal
         err = union_scores(slots, slice(lo, hi), o, ref[2], heights[lo:hi, lo + 1 :], True)
         beta = max(beta, err.max())

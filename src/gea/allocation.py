@@ -27,10 +27,12 @@ each token array after the fold's last use of it; for this CSR build the
 fold sets the peak memory. ``parse_block_sizes``, for the entropy, keeps
 only each piece's block starts and weights and sums each block's weights:
 no fold, no CSR arrays. The walk sets its peak, or on blocks of one or two
-tokens the per-block sums of the size check.
+tokens the per-block sums of the size check. ``rebased`` replaces either
+end's recurrence base.
 """
 from __future__ import annotations
 
+import copy
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -156,27 +158,31 @@ def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.nd
     return hi * 2**32 + lo
 
 
-def _base(r_scaled, base=None) -> int:
-    """``r_scaled``, or ``base(r_scaled)`` when ``base`` is given, each checked
-    as the recurrence base of an allocation, ``r_scaled`` first."""
+def _base(r_scaled) -> int:
+    """``r_scaled``, checked as the recurrence base of an allocation."""
     if not isinstance(r_scaled, int) or not 0 < r_scaled <= _INT64_MAX:
         raise ValueError(
             f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
         )
-    return r_scaled if base is None else _base(base(r_scaled))
+    return r_scaled
 
 
-def _from_tokens(n, starts, tokens, excess, r_scaled, base=None) -> FeatureAllocation:
+def rebased(g, r_scaled: int):
+    """A copy of ``g``, either parser's result, with recurrence base ``r_scaled``,
+    checked; it shares the read-only arrays, and no constructor runs again."""
+    g = copy.copy(g)
+    object.__setattr__(g, "r_scaled", _base(r_scaled))
+    return g
+
+
+def _from_tokens(n, starts, tokens, excess, r_scaled) -> FeatureAllocation:
     """The allocation whose block i is the non-empty run of (element, weight)
     tokens from ``starts[i]`` to ``starts[i + 1]`` of the int64 buffers in
     ``tokens``, [elements, weights]. The fold empties that list, so a buffer
     nothing else holds is freed after its last use. Repeated elements fold
-    by summing, exactly, as block sizes are checked first; then ``base``, if
-    given, maps the recurrence base as in :func:`parse_allocation_text`."""
+    by summing, exactly, as block sizes are checked first."""
     starts, w, el = (np.frombuffer(a, dtype=np.int64) for a in (starts, tokens.pop(), tokens.pop()))
     _block_sizes(starts, w, excess)
-    if base is not None:
-        r_scaled = _base(r_scaled, base)
     # the fold sets the CSR parse's peak memory: block ids take the narrowest
     # dtype, and each array goes as soon as it is used
     nblocks = len(starts) - 1
@@ -267,11 +273,9 @@ _CLASSES = bytes(c if c in b"0123456789:." else 10 if c in _BREAKS else 32 if c 
                  for c in range(256))
 
 
-def parse_allocation_text(text: str, base=None) -> FeatureAllocation:
+def parse_allocation_text(text: str) -> FeatureAllocation:
     """Parse the allocation text format. Raises ValueError with a line number
-    on malformed input. ``base``, if given, maps the header's recurrence base
-    to the allocation's (fixed-point units); it is called once the tokens
-    and block sizes pass, and its result is checked as the header's is.
+    on malformed input. :func:`rebased` replaces the header's recurrence base.
 
     The text is encoded to UTF-8 once; numpy finds the lines, tokens and
     comments in its bytes and converts the tokens a bounded piece at a time.
@@ -281,18 +285,18 @@ def parse_allocation_text(text: str, base=None) -> FeatureAllocation:
     n, r_scaled, excess = next(walk)
     cols = list(zip(*walk))  # the pieces' block starts, elements and weights
     starts, *tokens = (np.concatenate(cols.pop(0)) for _ in range(3))  # each list goes once joined
-    return _from_tokens(n, starts, tokens, excess, r_scaled, base)
+    return _from_tokens(n, starts, tokens, excess, r_scaled)
 
 
-def parse_block_sizes(text: str, base=None) -> SimpleNamespace:
+def parse_block_sizes(text: str) -> SimpleNamespace:
     """What an entropy reads of allocation text: ``n``, ``r_scaled`` and
     ``sizes``, each block's total weight as int64, equal to those fields of
-    :func:`parse_allocation_text`, with its errors and its ``base``. It runs
-    that parser's walk and size check, drops each piece's elements once
-    checked, and builds no CSR arrays. No check of the constructor could
-    fail after these: the walk checks each element against 1..n and each
-    weight for being positive, no block is empty, the size check keeps every
-    size within int64, and the recurrence base is checked here.
+    :func:`parse_allocation_text`, with its errors. It runs that parser's
+    walk and size check, drops each piece's elements once checked, and
+    builds no CSR arrays. No check of the constructor could fail after
+    these: the walk checks each element against 1..n and each weight for
+    being positive, no block is empty, the size check keeps every size
+    within int64, and the recurrence base is checked here.
     """
     walk = _walk(text)
     del text  # as in parse_allocation_text
@@ -304,7 +308,7 @@ def parse_block_sizes(text: str, base=None) -> SimpleNamespace:
     w = np.concatenate(weights)
     del weights
     sizes = _block_sizes(np.concatenate(starts), w, excess)
-    return SimpleNamespace(n=n, r_scaled=_base(r_scaled, base), sizes=sizes)
+    return SimpleNamespace(n=n, r_scaled=_base(r_scaled), sizes=sizes)
 
 
 def _walk(text: str):

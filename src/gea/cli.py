@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import fixedpoint as fp
 from .agglomeration import cut, gea, score_accuracy, to_json, to_newick
-from .allocation import parse_allocation_text, parse_block_sizes
+from .allocation import parse_allocation_text, parse_block_sizes, rebased
 from .categorize import CategorizationParams, NumericDataset, categorize, minmax_scale
 from .entropy import generalized_entropy
 
@@ -109,24 +109,17 @@ def parse_allocation(path, r_override: str | None = None, parse=parse_allocation
     parse_block_sizes where the block sizes are enough. ``r_override`` (a
     decimal string) replaces the header's recurrence base, with a warning
     when they differ; the file's own errors are reported first."""
-    header = []  # the header's recurrence base, once every line has parsed
-
-    def base(r_scaled):
-        header.append(r_scaled)
-        return _parse_r(r_override)
-
     # popped into the call, so the parser holds the only reference and frees it early
     text = [_read_text(path, unicode_lines=True)]
     try:
-        g = parse(text.pop(), None if r_override is None else base)
+        g = parse(text.pop())
     except ValueError as exc:
-        if header:  # an error of --r, not of the file
-            raise
         raise ValueError(f"{path}: {exc}") from None
-    if header and g.r_scaled != header[0]:
+    if r_override is not None and (r_s := _parse_r(r_override)) != g.r_scaled:
+        header, g = g.r_scaled, rebased(g, r_s)
         print(
-            f"warning: --r {fp.format_decimal(g.r_scaled)} overrides header "
-            f"r={fp.format_decimal(header[0])}",
+            f"warning: --r {fp.format_decimal(r_s)} overrides header "
+            f"r={fp.format_decimal(header)}",
             file=sys.stderr,
         )
     return g

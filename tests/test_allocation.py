@@ -183,6 +183,19 @@ def test_parse_allocation_text():
     assert g.blocks[3].entries == {4: 200_000}
 
 
+@pytest.mark.parametrize("parse", [parse_allocation_text, parse_block_sizes])
+def test_rebased_sets_r_on_a_copy_that_shares_the_arrays(parse):
+    g = parse(EXAMPLE_TEXT)
+    h = allocation.rebased(g, 1_500_000)
+    assert (h.n, h.r_scaled, g.r_scaled) == (7, 1_500_000, 2 * fp.SCALE)
+    for k in ("indptr", "elems", "weights", "sizes"):
+        if hasattr(g, k):
+            assert getattr(h, k) is getattr(g, k)
+    with pytest.raises(ValueError, match="recurrence base must be positive and at most"):
+        allocation.rebased(g, 2**63)
+    assert g.r_scaled == 2 * fp.SCALE
+
+
 def test_parse_bare_tokens_fold_into_multiset_weights():
     g = parse_allocation_text("n=7 r=1.0\n1 3 3 6 7\n")
     (b,) = g.blocks

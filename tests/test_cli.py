@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,6 +143,17 @@ def test_parse_allocation_rejects_bad_override(tmp_path):
         parse_allocation(path, r_override="0.0")
 
 
+@pytest.mark.parametrize("command", [["cluster", "--mode", "allocation"], ["entropy"]])
+def test_r_override_beyond_int64_is_an_error_without_a_warning(tmp_path, capsys, command):
+    path = write(tmp_path, "a.txt", ALLOC_TEXT)
+    assert main([*command, "--input", path, "--r", "9223372036854.775808"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: recurrence base must be positive and at most 9223372036854.775807\n"
+    )
+    assert captured.out == ""
+
+
 def test_parse_allocation_propagates_line_errors(tmp_path):
     path = write(tmp_path, "a.txt", "n=3 r=1.0\n9\n")
     with pytest.raises(ValueError, match="line 2"):
@@ -265,6 +277,27 @@ def test_internal_failures_exit_2(tmp_path, monkeypatch, capsys):
     for argv in (["cluster", "--input", path, "--mode", "allocation"], ["entropy", "--input", path]):
         assert main(argv) == 2
         assert "internal error: RuntimeError('injected')" in capsys.readouterr().err
+
+
+def test_n_too_large_for_the_score_matrices_exits_1(tmp_path, monkeypatch, capsys):
+    # heights' 8e14 bytes pass the 47-bit address space a process maps by default:
+    # the request fails at once and nothing is allocated
+    argv = ["cluster", "--mode", "allocation", "--input"]
+    path = write(tmp_path, "big.txt", "n=10000000 r=1.0\n1 2\n")
+    assert main([*argv, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n=10000000 is too large: the score matrices need 900000000000000 bytes\n"
+    assert captured.out == ""
+    real = np.full
+
+    def full(shape, *args, **kwargs):
+        if shape == (3, 3):
+            raise MemoryError
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", full)
+    assert main([*argv, write(tmp_path, "a.txt", "n=3 r=1.0\n1 2\n")]) == 1
+    assert capsys.readouterr().err == "error: n=3 is too large: the score matrices need 81 bytes\n"
 
 
 def test_run_returns_0_quietly(tmp_path, capsys):
