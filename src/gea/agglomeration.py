@@ -54,8 +54,9 @@ from .entropy import information_sum
 # Candidate heights within this absolute gap count as tied; ties resolve to
 # the pair whose merged element set is lexicographically least.
 TIE_TOLERANCE = 1e-12
-# Gathered entries per score batch, dense union-row masses per kernel call;
-# temporaries take ~64 bytes per entry.
+# Gathered entries per score batch, dense union-row masses per kernel call,
+# and gathered entries plus scores per set-up row group; temporaries take ~64
+# bytes per entry.
 BATCH_ENTRIES = 2**14
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -167,15 +168,15 @@ class _Slots:
         return d[row[x]] + d[row[y]]
 
 
-def _batches(cum: np.ndarray, budget: int = BATCH_ENTRIES):
+def _batches(cum: np.ndarray):
     """Bounds (lo, hi) of consecutive runs of items (blocks, or rows), with
-    entry counts summing to ``cum``, that hold at most ``budget`` entries in
-    all, or one item."""
-    if len(cum) and cum[-1] <= budget:
+    entry counts summing to ``cum``, that hold at most BATCH_ENTRIES entries
+    in all, or one item."""
+    if len(cum) and cum[-1] <= BATCH_ENTRIES:
         return [(0, len(cum))]  # all in one: the common case, without the loop
     lo, out = 0, []
     while lo < len(cum):
-        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget, "right"))
+        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + BATCH_ENTRIES, "right"))
         out.append((lo, max(hi, lo + 1)))
         lo = out[-1][1]
     return out
@@ -268,7 +269,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     subset's own element count and the allocation's recurrence base. The
     set-up scores every pair in groups of consecutive rows, one
     :func:`union_scores` call per group whose gathered entries plus n
-    scores a row are at most BATCH_ENTRIES // 4 (or one row); a merge
+    scores a row are at most BATCH_ENTRIES (or one row); a merge
     rescores the kept slot's pairs in one call. Score matrices that cannot
     be allocated raise ValueError. The merge with minimal entropy wins;
     near-exact ties (within ``TIE_TOLERANCE``) go to the union whose sorted
@@ -302,7 +303,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     that dense row and the kernel's temporaries on it; per slot its size,
     reference mass, two row minima, S, F, support size and position list;
     and the batches of gathered entries, scanned scores and union rows, and
-    the set-up's group grids of at most BATCH_ENTRIES // 4 scores. No
+    the set-up's group grids of at most BATCH_ENTRIES scores. No
     array has n*B entries.
     """
     n = g.n
@@ -337,12 +338,12 @@ def gea(g: FeatureAllocation) -> Dendrogram:
 
     # every pair's score, in groups of rows whose gathered entries (a row's, those
     # after its own in each of its blocks) plus n scores a row sum to at most
-    # BATCH_ENTRIES // 4, or one row; every union has two elements
+    # BATCH_ENTRIES, the budget of every batch, or one row; every union has two elements
     after = slots.ptr[1:][slots.blk]
     after -= np.arange(1, len(after) + 1)
     cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1] + n)
     del after
-    for lo, hi in _batches(cum, BATCH_ENTRIES // 4):
+    for lo, hi in _batches(cum):
         o = np.arange(lo + 1, n)  # the group's pairs lie right of its first row's diagonal
         err = union_scores(slots, slice(lo, hi), o, ref[2], heights[lo:hi, lo + 1 :], True)
         beta = max(beta, err.max())

@@ -75,13 +75,11 @@ class CategorizationParams:
             raise ValueError("recurrence base r must be positive")
 
 
-def _offset_weights(params: CategorizationParams) -> list[tuple[int, int]]:
-    """(offset, fixed-point weight) of each category one value spawns, in
-    ascending offset order: the 2m+1 offsets less the flanks whose weight
-    rounds to zero. The central weight (1 - 0)**gamma is exactly 1."""
-    m, gamma = params.m, params.gamma
-    weights = [(mu, fp.from_number((1 - abs(mu) / (m + 1)) ** gamma)) for mu in range(-m, m + 1)]
-    return [(mu, w) for mu, w in weights if w]
+def _weight(params: CategorizationParams, mu: int) -> int:
+    """Fixed-point weight of the categories at offsets +-mu, 0 <= mu <= m.
+    The central weight (1 - 0)**gamma is exactly 1, and as gamma >= 0 the
+    weights fall as mu grows."""
+    return fp.from_number((1 - mu / (params.m + 1)) ** params.gamma)
 
 
 def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAllocation:
@@ -94,28 +92,51 @@ def categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAlloc
     category's block collects the (row, weight) pairs of everyone who
     reached it. Blocks are ordered by grid value, so the output is
     deterministic.
+
+    The values are snapped as one float array, and only the distinct
+    snapped values become exact ints. Every offset up to the last flank
+    with a nonzero weight, found by bisection, spawns a category, so a
+    value's k offsets take a run of k category ranks, and each distinct
+    value's run starts after the previous one's start by their gap, or by k
+    if that is less. One stable sort of the ranks of every (row, dimension,
+    offset), rows ascending in input order, forms the blocks. An m whose
+    ranks and weights cannot be allocated raises ValueError before the
+    offsets' weights are evaluated.
     """
-    offsets = _offset_weights(params)
-    cats: dict[int, dict[int, int]] = {}
-    for e, row in enumerate(ds.values):
-        for name, v in zip(ds.dims, row):
-            y = v * params.d
-            if not math.isfinite(y):
-                raise ValueError(f"row {e}, dimension {name!r}: {v!r} * d overflows the grid")
-            g0 = _snap(y)
-            for mu, w in offsets:
-                entries = cats.setdefault(g0 + mu, {})
-                entries[e] = entries.get(e, 0) + w
-    blocks = [cats[key] for key in sorted(cats)]  # a block's rows arrive ascending
-    elems = np.fromiter((e for b in blocks for e in b), np.int64)
-    weights = np.fromiter((w for b in blocks for w in b.values()), np.int64)
-    indptr = np.cumsum([0, *map(len, blocks)])
-    return FeatureAllocation(ds.n, indptr, elems, weights, fp.from_number(params.r))
-
-
-def _snap(y: float) -> int:
-    """Nearest integer to y (a value times d), ties away from zero."""
-    return math.floor(y + 0.5) if y >= 0 else -math.floor(-y + 0.5)
+    n, dims, m = ds.n, len(ds.dims), params.m
+    with np.errstate(over="ignore"):  # the first overflow is named below
+        y = np.array(ds.values, dtype=float).reshape(n, dims) * float(params.d)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        e, j = divmod(int(bad.argmax()), dims)
+        raise ValueError(f"row {e}, dimension {ds.dims[j]!r}: {ds.values[e][j]!r} * d overflows the grid")
+    # nearest integer, ties away from zero: the IEEE additions of math.floor(|y| + 0.5)
+    g = np.floor(np.abs(y) + 0.5)
+    np.negative(g, out=g, where=y < 0)
+    u, inv = np.unique(g.ravel(), return_inverse=True)  # raveled: inv is 1-d on every numpy
+    lo, hi = 0, m + 1  # the weight at lo is nonzero, at hi (or past m) zero
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _weight(params, mid) else (lo, mid)
+    k = 2 * lo + 1  # offsets -lo..lo
+    try:
+        rank, weight = np.empty((2, n * dims, k), np.int64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest shape
+        raise ValueError(f"m={m} is too large: the categories need {16 * n * dims * k} bytes") from None
+    w = [_weight(params, mu) for mu in range(lo + 1)]
+    weight[:] = w[:0:-1] + w
+    v = [int(x) for x in u.tolist()]
+    start = np.cumsum([0, *(min(b - a, k) for a, b in zip(v, v[1:]))])
+    np.add(start[inv][:, None], np.arange(k), out=rank)
+    rank = rank.ravel()
+    # stable: a category's entries keep input order, so their rows ascend
+    order = np.argsort(rank.astype(np.min_scalar_type(start[-1] + k)), kind="stable")
+    rank, row = rank[order], order // (dims * k)
+    first = np.flatnonzero(np.diff(rank, prepend=-1) | np.diff(row, prepend=-1))  # (category, row) runs
+    weights = np.add.reduceat(weight.ravel()[order], first)
+    rank, row = rank[first], row[first]
+    indptr = np.append(np.flatnonzero(np.diff(rank, prepend=-1)), len(rank))
+    return FeatureAllocation(n, indptr, row, weights, fp.from_number(params.r))
 
 
 def minmax_scale(ds: NumericDataset) -> NumericDataset:

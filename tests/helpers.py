@@ -12,6 +12,7 @@ import numpy as np
 from gea import fixedpoint as fp
 from gea.allocation import _HEADER_RE, _INT64_MAX, FeatureAllocation, _from_tokens
 from gea.agglomeration import TIE_TOLERANCE, Dendrogram
+from gea.categorize import CategorizationParams, NumericDataset
 from gea.entropy import information_sum, subset_entropy
 
 
@@ -210,6 +211,31 @@ def reference_parse_allocation_text(text: str) -> FeatureAllocation:
     if n is None:
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
     return _from_tokens(n, starts, [elems, weights], excess, r_scaled)
+
+
+def reference_categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAllocation:
+    """The per-value categorization loop that the array ``categorize``
+    replaced, kept as its oracle: every value is multiplied by d and snapped
+    in Python floats, and adds each of the 2m+1 offsets' nonzero weights to
+    its category's dict, keyed by the exact int grid value."""
+    m, gamma = params.m, params.gamma
+    offsets = [(mu, fp.from_number((1 - abs(mu) / (m + 1)) ** gamma)) for mu in range(-m, m + 1)]
+    offsets = [(mu, w) for mu, w in offsets if w]
+    cats: dict[int, dict[int, int]] = {}
+    for e, row in enumerate(ds.values):
+        for name, v in zip(ds.dims, row):
+            y = v * params.d
+            if not math.isfinite(y):
+                raise ValueError(f"row {e}, dimension {name!r}: {v!r} * d overflows the grid")
+            g0 = math.floor(y + 0.5) if y >= 0 else -math.floor(-y + 0.5)  # ties away from zero
+            for mu, w in offsets:
+                entries = cats.setdefault(g0 + mu, {})
+                entries[e] = entries.get(e, 0) + w
+    blocks = [cats[key] for key in sorted(cats)]  # a block's rows arrive ascending
+    elems = np.fromiter((e for b in blocks for e in b), np.int64)
+    weights = np.fromiter((w for b in blocks for w in b.values()), np.int64)
+    indptr = np.cumsum([0, *map(len, blocks)])
+    return FeatureAllocation(ds.n, indptr, elems, weights, fp.from_number(params.r))
 
 
 def weighted_lines(rng, count, n=50, width=(2, 12)):

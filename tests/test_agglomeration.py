@@ -260,8 +260,8 @@ def test_score_batches_hold_at_most_the_batch_budget(monkeypatch, width, per_cal
         assert all(k <= BATCH_ENTRIES or blocks == 1 for k, blocks in batches)
         assert sum(k for k, _ in batches) <= entries
         assert sum(blocks for _, blocks in batches) == width * group  # the rows' support
-        # a group of rows' gathered entries and scored cells come to at most BATCH_ENTRIES // 4
-        assert group == 1 or sum(k for k, _ in batches) + group * n <= BATCH_ENTRIES // 4
+        # a group of rows' gathered entries and scored cells come to at most BATCH_ENTRIES
+        assert group == 1 or sum(k for k, _ in batches) + group * n <= BATCH_ENTRIES
     assert max(len(batches) for _, _, _, batches in calls) > 1
     assert sum(k for _, k, _, _ in calls) == n * (n - 1) // 2 + (n - 1) * (n - 2) // 2
     assert max(rows) == per_call
@@ -315,7 +315,7 @@ def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which
     # gea() scores its first pairs in groups of consecutive rows; the heights
     # it fills and its bound beta must be bit-equal to one union_scores call
     # per row, and each group's gathered entries plus its scores must come to
-    # at most BATCH_ENTRIES // 4, or be one row
+    # at most BATCH_ENTRIES, or be one row
     g = first_fill_inputs()[which]
     n, real = g.n, agglomeration.union_scores
     groups, heights, beta = [], np.full((n, n), np.inf), 0.0
@@ -342,7 +342,7 @@ def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which
     after = np.bincount(g.elems, np.repeat(g.indptr[1:], lens) - 1 - np.arange(len(g.elems)), n)
     assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]] and groups[-1][1] == n - 1
     for lo, hi in groups:
-        assert hi - lo == 1 or after[lo:hi].sum() + (hi - lo) * n <= BATCH_ENTRIES // 4
+        assert hi - lo == 1 or after[lo:hi].sum() + (hi - lo) * n <= BATCH_ENTRIES
     assert max(hi - lo for lo, hi in groups) > 1
     if which == 3:
         assert groups[0] == (0, 1) and after[0] > BATCH_ENTRIES

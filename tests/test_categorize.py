@@ -1,9 +1,12 @@
 """Grid categorization of numeric tables into weighted allocations."""
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gea import categorize as categorize_module
 from gea import fixedpoint as fp
 from gea.agglomeration import gea, to_json
 from gea.categorize import (
@@ -12,6 +15,8 @@ from gea.categorize import (
     categorize,
     minmax_scale,
 )
+
+from helpers import reference_categorize
 
 
 def params(d=10, m=1, gamma=1.0, r=1):
@@ -211,6 +216,92 @@ def test_whole_dataset_shift_leaves_dendrogram_unchanged():
 def test_gamma_zero_gives_flat_weights():
     g = categorize(NumericDataset(("x",), ((1.0,),)), params(m=2, gamma=0.0))
     assert entries(g) == [{0: 1.0}] * 5
+
+
+@st.composite
+def numeric_inputs(draw):
+    """A dataset and parameters: values at any float in a small range, at
+    exact ties +-k/(2d) between grid points, and where |v*d| is at least
+    2**53; rows may repeat, and in about one dataset of four v*d overflows
+    for some value."""
+    d = draw(st.integers(1, 40) | st.sampled_from([2**62 + 1, 10**15]))
+    p = params(d=d, m=draw(st.integers(0, 8)), gamma=draw(st.sampled_from([0, 0.5, 1.0, 3.0, 20.0])))
+    big = st.floats(2.0**53, 1e300).map(lambda x: x / d)
+    value = st.one_of(
+        st.floats(-8, 8),
+        st.integers(-16 * d, 16 * d).map(lambda k: k / (2 * d)),
+        big,
+        big.map(lambda x: -x),
+    )
+    dims = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(value, min_size=dims, max_size=dims), max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, dims - 1))
+            rows[i] = [*rows[i][:j], draw(st.sampled_from([1.7e308, -1e308])), *rows[i][j + 1:]]
+    return NumericDataset(tuple(f"c{i}" for i in range(dims)), tuple(map(tuple, rows))), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=numeric_inputs())
+def test_categorize_equals_the_per_value_reference(data):
+    # the same blocks in the same order, elements and weights; or the same
+    # error, naming the same row and dimension
+    ds, p = data
+    try:
+        want = reference_categorize(ds, p)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            categorize(ds, p)
+        assert str(got.value) == str(exc)
+    else:
+        assert categorize(ds, p) == want
+
+
+def test_overflow_names_the_first_value_in_row_major_order():
+    ds = NumericDataset(("a", "b"), ((1.0, 1e308), (-1e308, 1.0)))
+    with pytest.raises(ValueError) as got:
+        categorize(ds, params(d=10))
+    assert str(got.value) == "row 0, dimension 'b': 1e+308 * d overflows the grid"
+    with pytest.raises(ValueError, match=re.escape(str(got.value))):
+        reference_categorize(ds, params(d=10))
+
+
+def counted_weights(monkeypatch):
+    calls = []
+    real = categorize_module._weight
+
+    def counting(p, mu):
+        calls.append(mu)
+        return real(p, mu)
+
+    monkeypatch.setattr(categorize_module, "_weight", counting)
+    return calls
+
+
+def test_huge_m_is_an_error_before_the_weights_are_evaluated(monkeypatch):
+    # about 2*10**15 offsets a value: their 114 PiB of ranks and weights pass any
+    # address space, so the request fails at once, after the bisection alone
+    calls = counted_weights(monkeypatch)
+    ds = NumericDataset(("a", "b"), ((0.1, 0.2), (0.3, 0.5)))
+    with pytest.raises(ValueError) as got:
+        categorize(ds, params(m=10**15, gamma=1.0))
+    assert str(got.value) == "m=1000000000000000 is too large: the categories need 127999936000000064 bytes"
+    assert len(calls) <= 60
+
+
+def test_huge_m_evaluates_only_the_flanks_with_a_nonzero_weight(monkeypatch):
+    # with gamma = 10**12 the flanks' weights round to zero past |mu| = 14,508:
+    # the bisection finds that flank, and only offsets up to it are evaluated
+    calls = counted_weights(monkeypatch)
+    p = params(m=10**15, gamma=10.0**12)
+    g = categorize(NumericDataset(("x",), ((0.0,),)), p)
+    last = 14_508
+    assert len(g.sizes) == 2 * last + 1
+    assert g.weights[0] == g.weights[-1] == categorize_module._weight(p, last) > 0
+    assert categorize_module._weight(p, last + 1) == 0
+    assert len(calls) <= last + 1 + 60
 
 
 # --- minmax_scale -------------------------------------------------------------------

@@ -300,6 +300,19 @@ def test_n_too_large_for_the_score_matrices_exits_1(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == "error: n=3 is too large: the score matrices need 81 bytes\n"
 
 
+def test_m_too_large_for_the_categories_exits_1(tmp_path, capsys):
+    # about 2*10**15 offsets a value, 114 PiB of ranks and weights for 2 rows of
+    # 2 values: the request fails at once, before the offsets' weights are evaluated
+    path = write(tmp_path, "a.csv", "a,b\n0.1,0.2\n0.3,0.5\n")
+    argv = ["cluster", "--input", path, "--mode", "numeric", "--d", "10", "--gamma", "1"]
+    assert main([*argv, "--m", str(10**15)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: m=1000000000000000 is too large: the categories need 127999936000000064 bytes\n"
+    )
+    assert captured.out == ""
+
+
 def test_run_returns_0_quietly(tmp_path, capsys):
     path = write(tmp_path, "a.txt", "n=2 r=1.0\n1 2\n")
     code = main(["cluster", "--input", path, "--mode", "allocation"])
