@@ -14,21 +14,23 @@ categorization build the arrays once; everything else reads them as arrays.
 All types are immutable (the arrays are read-only) and all operations are
 pure, so values can be shared freely across threads.
 
-The text parser encodes the text to UTF-8 once, non-ASCII whitespace mapped
-to ASCII first, and walks its bytes in pieces of a bounded number of tokens:
-numpy finds each piece's tokens, the lines they open and the comment lines,
-checks the token grammar and reads the digits. A token it cannot certify
-(Unicode digits, a signed weight, over six decimals, a field too long for
-int64, a malformed token) takes the scalar check, which converts it exactly
-or raises the error naming its line, counted from the token's byte offset.
-The walk has two ends. ``parse_allocation_text`` folds the tokens into the
-CSR arrays, freeing the text once encoded, its bytes before the fold and
-each token array after the fold's last use of it; for this CSR build the
-fold sets the peak memory. ``parse_block_sizes``, for the entropy, keeps
-only each piece's block starts and weights and sums each block's weights:
-no fold, no CSR arrays. The walk sets its peak, or on blocks of one or two
-tokens the per-block sums of the size check. ``rebased`` replaces either
-end's recurrence base.
+The text parser takes ``str`` or UTF-8 ``bytes``. It walks ASCII bytes as
+they are; other text, decoded first if it is bytes, it encodes to UTF-8
+once, non-ASCII whitespace mapped to ASCII first. It walks the bytes in
+pieces of a bounded number of tokens: numpy finds each piece's tokens, the
+lines they open and the comment lines, checks the token grammar and reads
+the digits. A token it cannot certify (Unicode digits, a signed weight, over
+six decimals, a field too long for int64, a malformed token) takes the
+scalar check, which converts it exactly or raises the error naming its line,
+counted from the token's byte offset. The walk has two ends.
+``parse_allocation_text`` folds the tokens into the CSR arrays, freeing a
+``str`` once encoded, its bytes before the fold and each token array after
+the fold's last use of it; for this CSR build the fold sets the peak memory.
+``parse_block_sizes``, for the entropy, sums each piece's weights per block
+as the piece comes, in high and low 32-bit halves, and carries the block
+open at its end into the next piece: it keeps no per-token array, no fold,
+no CSR arrays. The bytes set its peak, or on blocks of one or two tokens the
+per-block sums. ``rebased`` replaces either end's recurrence base.
 """
 from __future__ import annotations
 
@@ -137,14 +139,19 @@ class FeatureAllocation:
 
 
 def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.ndarray:
-    """Each block's size as int64, or ValueError naming the first that is
-    beyond int64 once ``excess[i]`` units missing from ``weights`` are added
-    to block i. The high 32-bit halves of the weights are summed apart, as
-    an int64 sum wraps silently: the plain sum less the high halves' sum
-    times 2**32, both wrapping, is the low halves' sum, which is below 2**63
-    in a block of fewer than 2**31 entries. One temporary at a time."""
+    """Each block's size as int64, checked by :func:`_checked_sizes`. The
+    high 32-bit halves of the weights are summed apart, as an int64 sum
+    wraps silently: the plain sum less the high halves' sum times 2**32,
+    both wrapping, is the low halves' sum. One temporary at a time."""
     hi = np.add.reduceat(weights >> 32, indptr[:-1])
-    lo = np.add.reduceat(weights, indptr[:-1]) - hi * 2**32
+    return _checked_sizes(hi, np.add.reduceat(weights, indptr[:-1]) - hi * 2**32, excess)
+
+
+def _checked_sizes(hi: np.ndarray, lo: np.ndarray, excess: dict) -> np.ndarray:
+    """The sizes hi * 2**32 + lo of blocks whose weights' high and low 32-bit
+    halves sum to hi and lo, or ValueError naming the first that is beyond
+    int64 once ``excess[i]`` units missing from the weights are added to
+    block i. lo is below 2**63 in a block of fewer than 2**31 entries."""
     over = hi + (lo >> 32) >= 2**31
     if excess:
         over[list(excess)] = True
@@ -273,12 +280,14 @@ _CLASSES = bytes(c if c in b"0123456789:." else 10 if c in _BREAKS else 32 if c 
                  for c in range(256))
 
 
-def parse_allocation_text(text: str) -> FeatureAllocation:
-    """Parse the allocation text format. Raises ValueError with a line number
-    on malformed input. :func:`rebased` replaces the header's recurrence base.
+def parse_allocation_text(text: str | bytes) -> FeatureAllocation:
+    """Parse the allocation text format, ``str`` or UTF-8 ``bytes``. Raises
+    ValueError with a line number on malformed input. :func:`rebased`
+    replaces the header's recurrence base.
 
-    The text is encoded to UTF-8 once; numpy finds the lines, tokens and
-    comments in its bytes and converts the tokens a bounded piece at a time.
+    ASCII bytes are read as they are, other text is encoded to UTF-8 once;
+    numpy finds the lines, tokens and comments in the bytes and converts the
+    tokens a bounded piece at a time.
     """
     walk = _walk(text)
     del text  # the walk frees it once encoded, unless the caller keeps it (gea's CLI does not)
@@ -288,41 +297,52 @@ def parse_allocation_text(text: str) -> FeatureAllocation:
     return _from_tokens(n, starts, tokens, excess, r_scaled)
 
 
-def parse_block_sizes(text: str) -> SimpleNamespace:
-    """What an entropy reads of allocation text: ``n``, ``r_scaled`` and
-    ``sizes``, each block's total weight as int64, equal to those fields of
-    :func:`parse_allocation_text`, with its errors. It runs that parser's
-    walk and size check, drops each piece's elements once checked, and
-    builds no CSR arrays. No check of the constructor could fail after
-    these: the walk checks each element against 1..n and each weight for
-    being positive, no block is empty, the size check keeps every size
+def parse_block_sizes(text: str | bytes) -> SimpleNamespace:
+    """What an entropy reads of allocation text, ``str`` or UTF-8 ``bytes``:
+    ``n``, ``r_scaled`` and ``sizes``, each block's total weight as int64,
+    equal to those fields of :func:`parse_allocation_text`, with its errors.
+    It runs that parser's walk and sums each piece's weights per block, in
+    high and low 32-bit halves, the block open at its end carried on: no
+    per-token array is kept, no CSR array built, and the sizes are checked
+    once every token has parsed. No check of the constructor could fail
+    after these: the walk checks each element against 1..n and each weight
+    for being positive, no block is empty, the size check keeps every size
     within int64, and the recurrence base is checked here.
     """
     walk = _walk(text)
     del text  # as in parse_allocation_text
     n, r_scaled, excess = next(walk)
-    starts, weights = [], []
+    sums, carry, seen = [], 0, 0  # per piece its blocks' half sums; the open block's; tokens
     for first, _, w in walk:
-        starts.append(first)
-        weights.append(w)
-    w = np.concatenate(weights)
-    del weights
-    sizes = _block_sizes(np.concatenate(starts), w, excess)
+        # the halves, a 0 on each side: the part before the first block start
+        # (none if a block starts there) adds to the open block, the last stays
+        # open; the walk's last piece, of no tokens, closes it
+        halves = np.zeros((2, len(w) + 2), np.int64)
+        halves[0, 1:-1], halves[1, 1:-1] = w >> 32, w & 2**32 - 1
+        part = np.add.reduceat(halves, np.append(0, first - seen + 1), axis=1)
+        part[:, 0] += carry
+        sums.append(part[:, :-1])
+        carry, seen = part[:, -1], seen + len(w)
+    hi, lo = np.concatenate(sums, axis=1)[:, 1:]  # the first piece's first part is no block
+    del sums
+    sizes = _checked_sizes(hi, lo, excess)
     return SimpleNamespace(n=n, r_scaled=_base(r_scaled), sizes=sizes)
 
 
-def _walk(text: str):
+def _walk(text: str | bytes):
     """The token walk of both parsers, a generator. It yields n, the header's
     r_scaled and a Counter that it fills with the units each block's weights
     hold beyond int64, then per piece of at most _CHUNK_TOKENS tokens three
     int64 arrays: the piece's blocks' first tokens, numbered from the first
     block, its 0-based elements and its weights; a last piece, of no tokens,
     gives the token count. Comment lines are dropped. The header's errors
-    come with the first item, a token's with its piece."""
+    come with the first item, a token's with its piece. ASCII bytes are
+    walked as they are; other text is decoded from UTF-8 if it is bytes,
+    its non-ASCII whitespace mapped to ASCII, and encoded."""
     if not text.isascii():
-        text = text.translate(_UNICODE_SPACES)
-    data = text.encode("utf-8", "surrogatepass")
-    del text  # freed here unless the caller keeps a reference (gea's CLI keeps none)
+        text = (text if isinstance(text, str) else text.decode("utf-8")).translate(_UNICODE_SPACES)
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    del text  # a str is freed here unless the caller keeps it (gea's CLI keeps none)
     if b"\r" in data:  # one break, as in str.splitlines
         data = data.replace(b"\r\n", b"\n")
     at, end = _PREAMBLE.match(data).span(1)  # the header line

@@ -29,20 +29,23 @@ from .categorize import CategorizationParams, NumericDataset, categorize, minmax
 from .entropy import generalized_entropy
 
 
-def _read_text(path, unicode_lines: bool = False) -> str:
+def _read_text(path, allocation: bool = False) -> str | bytes:
     """A UTF-8 input file's text, a leading byte-order mark skipped. Errors
     name the file, and for bad UTF-8 the 1-based line of the first bad byte:
-    lines end at \\n, \\r or \\r\\n as in csv or, with ``unicode_lines``, at
-    every break of ``str.splitlines``, as in the allocation parser."""
+    lines end at \\n, \\r or \\r\\n as in csv or, for an ``allocation``
+    file, at every break of ``str.splitlines``, as in the allocation parser,
+    which also takes an ASCII file's bytes as they are, not decoded."""
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    if allocation and data.isascii():
+        return data
     try:
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # offsets count from after a BOM
         head = exc.object[: exc.start + 1]  # up to the bad byte
-        if unicode_lines:  # the valid prefix, and a stand-in for the bad byte
+        if allocation:  # the valid prefix, and a stand-in for the bad byte
             head = head[:-1].decode("utf-8") + "?"
         line = len(head.splitlines())
         bad = exc.object[exc.start]
@@ -106,11 +109,13 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
 
 def parse_allocation(path, r_override: str | None = None, parse=parse_allocation_text):
     """Read an allocation text file with ``parse``: parse_allocation_text, or
-    parse_block_sizes where the block sizes are enough. ``r_override`` (a
-    decimal string) replaces the header's recurrence base, with a warning
-    when they differ; the file's own errors are reported first."""
+    parse_block_sizes where the block sizes are enough. An ASCII file's bytes
+    go to the parser undecoded, so no decoded copy is made; other files are
+    decoded, with the same errors. ``r_override`` (a decimal string)
+    replaces the header's recurrence base, with a warning when they differ;
+    the file's own errors are reported first."""
     # popped into the call, so the parser holds the only reference and frees it early
-    text = [_read_text(path, unicode_lines=True)]
+    text = [_read_text(path, allocation=True)]
     try:
         g = parse(text.pop())
     except ValueError as exc:

@@ -402,17 +402,22 @@ def random_parser_text(rng):
 def test_parser_matches_the_per_token_reference():
     # same arrays byte for byte, or the same error message; small chunks
     # put chunk edges inside lines and between a bad token and its line.
-    # parse_block_sizes gives the same sizes, or the same message.
+    # parse_block_sizes gives the same sizes, or the same message. An ASCII
+    # text's bytes, which both ends walk as they are, give the same again;
+    # at chunks of 3 and 1 blocks span pieces, so the block sizes are summed
+    # across piece edges.
     rng = random.Random(2024)
     kinds = {"parsed": 0, "parsed non-ASCII": 0, "raised": 0, "block size": 0}
     for i in range(2_400):
         text = random_parser_text(rng)
         want = outcome(reference_parse_allocation_text, text)
         sizes = sizes_outcome(reference_parse_allocation_text, text)
+        inputs = [text, text.encode()] if text.isascii() else [text]
         for chunk in [allocation._CHUNK_TOKENS] + [3] * (i % 4 == 0) + [1] * (i % 20 == 0):
             with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
-                assert outcome(parse_allocation_text, text) == want, (chunk, text)
-                assert sizes_outcome(parse_block_sizes, text) == sizes, (chunk, text)
+                for given_text in inputs:
+                    assert outcome(parse_allocation_text, given_text) == want, (chunk, given_text)
+                    assert sizes_outcome(parse_block_sizes, given_text) == sizes, (chunk, given_text)
         if isinstance(want, str):
             kinds["raised"] += 1
             kinds["block size"] += "exceeds the largest supported block size" in want
@@ -420,6 +425,17 @@ def test_parser_matches_the_per_token_reference():
             kinds["parsed"] += 1
             kinds["parsed non-ASCII"] += not text.isascii()
     assert min(kinds.values()) >= 100, kinds
+
+
+@pytest.mark.parametrize("parse, seen", [(parse_allocation_text, outcome),
+                                         (parse_block_sizes, sizes_outcome)])
+def test_non_ascii_bytes_parse_as_their_text(parse, seen):
+    # bytes that are not ASCII are decoded and walked as the str would be
+    text = "# caf\u00e9\nn=4 r=1.0\u3000\n1:2\u20282\xa03:0.5\x85\n4 \u0663\n"
+    assert seen(parse, text.encode()) == seen(parse, text)
+    assert not isinstance(seen(parse, text), str)  # it parses
+    with pytest.raises(ValueError):
+        parse(b"n=2 r=1.0\n1 \xff\n")
 
 
 FRAGMENTS = st.sampled_from([

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
 from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
-from gea.allocation import FeatureAllocation, format_allocation_text, parse_allocation_text
+from gea.allocation import (
+    FeatureAllocation, format_allocation_text, parse_allocation_text, parse_block_sizes,
+)
 from gea.categorize import CategorizationParams, NumericDataset, categorize
 from gea.entropy import generalized_entropy
 from gea.cli import main, parse_allocation, parse_csv
@@ -475,15 +478,18 @@ NUMERIC = ["cluster", "--mode", "numeric", "--d", "2", "--m", "1", "--gamma", "1
     [
         (b"n=2 r=1.0\n1:1\x0c2:1\n%s\n", b"3:1", ["entropy"], 4),
         (b"n=2 r=1.0\xe2\x80\xa81\x1c\r\n2 %s\x85", b"3", ["cluster", "--mode", "allocation"], 4),
+        (b"\xef\xbb\xbfn=2 r=1.0\r\n1 2\n\n%s\n", b"3", ["entropy"], 4),
         (b"a\n1\x0c\n%s\n", b"x", NUMERIC, 3),
         (b"a\r\n1\xe2\x80\xa8\r%s\n", b"x", NUMERIC, 3),
     ],
-    ids=["entropy", "allocation", "numeric", "numeric-u2028"],
+    ids=["entropy", "allocation", "entropy-bom", "numeric", "numeric-u2028"],
 )
 def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, layout, stand_in,
                                                            argv, line):
     # allocation mode counts lines at every break str.splitlines knows, as
-    # its parser does; numeric mode at \n, \r and \r\n only, as csv does
+    # its parser does; numeric mode at \n, \r and \r\n only, as csv does.
+    # An ASCII allocation file, a byte-order mark skipped, goes to the
+    # parser as bytes: with the stand-in, the BOM layout takes that route
     path = tmp_path / "in.txt"
     for filler in (stand_in, b"\xff"):
         path.write_bytes(layout % filler)
@@ -493,16 +499,17 @@ def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, lay
 
 
 def test_entropy_pass_peak_memory_per_token(tmp_path):
-    # gea entropy reads block sizes only, so no fold follows the piece walk,
-    # which sets the peak: the file's UTF-8 bytes (9.3 bytes a token in this
-    # file), the text gone, the weight arrays as they fill (8), the block
-    # starts (1.1) and one piece's temporaries, about 6; 24.8 in all. After
-    # the walk the bytes go, and joining the weights and summing them per
-    # block hold two int64 arrays as long as the tokens, 16 bytes a token.
-    # 30 leaves room for fixed costs, not for the element arrays kept to
-    # the end (8 more) or the bytes kept beside the weights; the pass that
-    # folded the tokens into CSR arrays took 33.4 bytes a token. The fold's
-    # own peak is bounded by test_parse_peak_memory_stays_within_the_reference.
+    # gea entropy reads block sizes only. The ASCII file goes to the parser
+    # as bytes, never decoded, and the walk sums each piece's weights per
+    # block as the piece comes, so the walk sets the peak: the file's bytes
+    # (9.3 bytes a token in this file), one piece's temporaries, about 6,
+    # and the per-block sums so far, 16 bytes a block (2.3 a token); 19.1
+    # in all. After the walk the bytes go, and joining the sums holds 32
+    # bytes a block. 22 leaves room for fixed costs, not for a decoded copy
+    # beside the bytes (9.3 more) or a weight array kept to the end of the
+    # walk (8 more): the pass that held both took 24.8 bytes a token, and
+    # the pass that folded the tokens into CSR arrays 33.4. The fold's own
+    # peak is bounded by test_parse_peak_memory_stays_within_the_reference.
     text = "\n".join(["n=5000 r=1.0", *weighted_lines(random.Random(11), 14_300, n=5000)]) + "\n"
     tokens = len(text.split()) - 2
     assert tokens == 100_715
@@ -516,7 +523,7 @@ def test_entropy_pass_peak_memory_per_token(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 30 * tokens, peak / tokens
+    assert peak <= 22 * tokens, peak / tokens
 
 
 # --- exit codes on arbitrary allocation text ---------------------------------------
@@ -581,12 +588,19 @@ ENTROPY_LINES = st.tuples(LINES, st.lists(MORE_LINES, max_size=3)).flatmap(
 
 def entropy_through_the_allocation(path, override):
     """The exit code, stdout and stderr of gea entropy as it was computed
-    from the whole allocation: generalized_entropy of parse_allocation_text,
-    rebuilt with the --r value when it differs, with the CLI's messages."""
+    from the whole allocation: generalized_entropy of parse_allocation_text
+    on the decoded text, a byte-order mark skipped, rebuilt with the --r
+    value when it differs, with the CLI's messages."""
     out, err = io.StringIO(), io.StringIO()
     try:
         try:
-            g = parse_allocation_text(path.read_bytes().decode("utf-8"))
+            text = path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # the line of the first bad byte
+            line = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
+            bad = exc.object[exc.start]
+            raise ValueError(f"{path}: line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
+        try:
+            g = parse_allocation_text(text)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if override is not None:
@@ -627,6 +641,30 @@ def test_entropy_matches_the_allocation_route(tmp_path_factory, n, r, override, 
     path.write_text("\n".join([f"n={n} r={r}", *lines]) + "\n", encoding="utf-8")
     argv = ["entropy", "--input", str(path)] + ([] if override is None else ["--r", override])
     assert run_main(argv) == entropy_through_the_allocation(path, override)
+
+
+@pytest.mark.parametrize(
+    "data, route",
+    [
+        (b"\xef\xbb\xbfn=3 r=1.0\n1:2 2\n# 1:x\n3 1\n", bytes),
+        (b"n=3 r=1.0\r\n1:2 2\r\n\r\n3:0.5 1\r\n", bytes),
+        (b"\xef\xbb\xbfn=3 r=1.0\r\n1:2 4\r\n", bytes),  # a parse error after a BOM
+        ("n=3 r=1.0\n1:2\u30002 3\n3\n".encode(), str),
+        ("\ufeffn=3 r=1.0\u2028 1\u30002:0.5\r\n".encode(), str),
+        (b"\xef\xbb\xbfn=3 r=1.0\n1 2\n\xff 3\n", None),  # bad UTF-8 after a BOM
+    ],
+    ids=["bom", "crlf", "bom-error", "u3000", "bom-u2028", "bom-bad-utf8"],
+)
+@pytest.mark.parametrize("override", [None, "0.5"])
+def test_entropy_reads_bytes_and_text_alike(tmp_path, data, route, override):
+    # an ASCII file goes to the parser as bytes, others as decoded text;
+    # both give what the decoded text gives
+    path = tmp_path / "a.txt"
+    path.write_bytes(data)
+    argv = ["entropy", "--input", str(path)] + ([] if override is None else ["--r", override])
+    with mock.patch("gea.cli.parse_block_sizes", wraps=parse_block_sizes) as spy:
+        assert run_main(argv) == entropy_through_the_allocation(path, override)
+    assert [type(c.args[0]) for c in spy.call_args_list] == [route] * (route is not None)
 
 
 def test_entropy_of_a_large_file_is_bit_identical_on_both_routes(tmp_path):
