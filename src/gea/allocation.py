@@ -15,14 +15,14 @@ All types are immutable (the arrays are read-only) and all operations are
 pure, so values can be shared freely across threads.
 
 The text parser takes ``str`` or UTF-8 ``bytes``. It walks ASCII bytes as
-they are; other text, decoded first if it is bytes, it encodes to UTF-8
-once, non-ASCII whitespace mapped to ASCII first. It walks the bytes in
-pieces of a bounded number of tokens: numpy finds each piece's tokens, the
-lines they open and the comment lines, checks the token grammar and reads
-the digits. A token it cannot certify (Unicode digits, a signed weight, over
-six decimals, a field too long for int64, a malformed token) takes the
-scalar check, which converts it exactly or raises the error naming its line,
-counted from the token's byte offset. The walk has two ends.
+they are. Other bytes it decodes, naming the line of a bad byte; other text
+it encodes to UTF-8 once, non-ASCII whitespace mapped to ASCII first. It
+walks the bytes in pieces of a bounded number of tokens: numpy finds each
+piece's tokens, the lines they open and the comment lines, checks the token
+grammar and reads the digits. A token it cannot certify (Unicode digits, a
+signed weight, over six decimals, a field too long for int64, a malformed
+token) takes the scalar check, which converts it exactly or raises the error
+naming its line, counted from the token's byte offset. The walk has two ends.
 ``parse_allocation_text`` folds the tokens into the CSR arrays, freeing a
 ``str`` once encoded, its bytes before the fold and each token array after
 the fold's last use of it; for this CSR build the fold sets the peak memory.
@@ -335,12 +335,18 @@ def _walk(text: str | bytes):
     hold beyond int64, then per piece of at most _CHUNK_TOKENS tokens three
     int64 arrays: the piece's blocks' first tokens, numbered from the first
     block, its 0-based elements and its weights; a last piece, of no tokens,
-    gives the token count. Comment lines are dropped. The header's errors
-    come with the first item, a token's with its piece. ASCII bytes are
-    walked as they are; other text is decoded from UTF-8 if it is bytes,
-    its non-ASCII whitespace mapped to ASCII, and encoded."""
+    gives the token count. Comment lines are dropped. ASCII bytes are walked
+    as they are; other text is decoded from UTF-8 if it is bytes, its
+    non-ASCII whitespace mapped to ASCII, and encoded. A bad UTF-8 byte's
+    error and the header's come with the first item, a token's with its piece."""
     if not text.isascii():
-        text = (text if isinstance(text, str) else text.decode("utf-8")).translate(_UNICODE_SPACES)
+        try:  # bytes are freed once decoded, before the str is mapped
+            text = text if isinstance(text, str) else text.decode()
+        except UnicodeDecodeError as exc:  # lines as str.splitlines counts them, the bad byte a "?"
+            line = len((exc.object[: exc.start].decode() + "?").splitlines())
+            bad = exc.object[exc.start]
+            raise ValueError(f"line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
+        text = text.translate(_UNICODE_SPACES)
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     del text  # a str is freed here unless the caller keeps it (gea's CLI keeps none)
     if b"\r" in data:  # one break, as in str.splitlines

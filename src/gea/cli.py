@@ -29,97 +29,87 @@ from .categorize import CategorizationParams, NumericDataset, categorize, minmax
 from .entropy import generalized_entropy
 
 
-def _read_text(path, allocation: bool = False) -> str | bytes:
-    """A UTF-8 input file's text, a leading byte-order mark skipped. Errors
-    name the file, and for bad UTF-8 the 1-based line of the first bad byte:
-    lines end at \\n, \\r or \\r\\n as in csv or, for an ``allocation``
-    file, at every break of ``str.splitlines``, as in the allocation parser,
-    which also takes an ASCII file's bytes as they are, not decoded."""
+def _parse_file(path, parse):
+    """``parse`` of the bytes of file ``path``, a leading byte-order mark
+    skipped. The bytes are popped into the call, so ``parse`` holds the only
+    reference and can free them early. Errors name the file."""
     try:
-        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+        data = [Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")]
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if allocation and data.isascii():
-        return data
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # offsets count from after a BOM
-        head = exc.object[: exc.start + 1]  # up to the bad byte
-        if allocation:  # the valid prefix, and a stand-in for the bad byte
-            head = head[:-1].decode("utf-8") + "?"
-        line = len(head.splitlines())
-        bad = exc.object[exc.start]
-        raise ValueError(f"{path}: line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
+        return parse(data.pop())  # a plain call hands them over; an argument tuple would keep them
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_csv(path, label_col: str | None = None) -> NumericDataset:
     """Read a UTF-8 CSV (a leading byte-order mark is skipped) with a header
     row; every column except the optional label column must parse as a
     number. Errors name rows by their line in the file."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    try:
-        rows = [(reader.line_num, row) for row in reader if row]
-    except csv.Error as exc:  # e.g. a cell over csv's field size limit
-        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0][1]]
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise ValueError(f"{path}: duplicate header names: {', '.join(dupes)}")
-    label_idx = None
-    if label_col is not None:
-        if label_col not in header:
-            raise ValueError(f"{path}: no column named {label_col!r}")
-        label_idx = header.index(label_col)
-    dims = tuple(h for i, h in enumerate(header) if i != label_idx)
-    if not dims:
-        raise ValueError(f"{path}: no numeric columns")
-    values = []
-    labels: list[str] | None = [] if label_idx is not None else None
-    for rowno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {rowno}: expected {len(header)} cells, got {len(row)}"
-            )
-        vals = []
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                labels.append(cell.strip())
-                continue
-            try:
-                if "_" in cell:  # float() would read digit-group underscores: 1_0 as 10
-                    raise ValueError
-                v = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {rowno}, column {header[i]!r}: "
-                    f"cannot parse {fp.cut(cell.strip())!r} as a number"
-                ) from None
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"{path}: row {rowno}, column {header[i]!r}: non-finite value"
-                )
-            vals.append(v)
-        values.append(tuple(vals))
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    return NumericDataset(dims, tuple(values), tuple(labels) if labels else None)
+
+    def dataset(data: bytes) -> NumericDataset:
+        try:
+            reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        except UnicodeDecodeError as exc:  # lines end at \n, \r or \r\n, as in csv
+            line, bad = len(exc.object[: exc.start + 1].splitlines()), exc.object[exc.start]
+            raise ValueError(f"line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
+        del data  # csv reads the decoded text; the bytes go now
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:  # e.g. a cell over csv's field size limit
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
+        if not rows:
+            raise ValueError("empty file")
+        header = [h.strip() for h in rows[0][1]]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise ValueError(f"duplicate header names: {', '.join(dupes)}")
+        label_idx = None
+        if label_col is not None:
+            if label_col not in header:
+                raise ValueError(f"no column named {label_col!r}")
+            label_idx = header.index(label_col)
+        dims = tuple(h for i, h in enumerate(header) if i != label_idx)
+        if not dims:
+            raise ValueError("no numeric columns")
+        values = []
+        labels: list[str] | None = [] if label_idx is not None else None
+        for rowno, row in rows[1:]:
+            if len(row) != len(header):
+                raise ValueError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
+            vals = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    labels.append(cell.strip())
+                    continue
+                try:
+                    if "_" in cell:  # float() would read digit-group underscores: 1_0 as 10
+                        raise ValueError
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"row {rowno}, column {header[i]!r}: "
+                        f"cannot parse {fp.cut(cell.strip())!r} as a number"
+                    ) from None
+                if not math.isfinite(v):
+                    raise ValueError(f"row {rowno}, column {header[i]!r}: non-finite value")
+                vals.append(v)
+            values.append(tuple(vals))
+        if not values:
+            raise ValueError("no data rows")
+        return NumericDataset(dims, tuple(values), tuple(labels) if labels else None)
+
+    return _parse_file(path, dataset)
 
 
 def parse_allocation(path, r_override: str | None = None, parse=parse_allocation_text):
     """Read an allocation text file with ``parse``: parse_allocation_text, or
-    parse_block_sizes where the block sizes are enough. An ASCII file's bytes
-    go to the parser undecoded, so no decoded copy is made; other files are
-    decoded, with the same errors. ``r_override`` (a decimal string)
-    replaces the header's recurrence base, with a warning when they differ;
-    the file's own errors are reported first."""
-    # popped into the call, so the parser holds the only reference and frees it early
-    text = [_read_text(path, allocation=True)]
-    try:
-        g = parse(text.pop())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    parse_block_sizes where the block sizes are enough, from the file's bytes,
+    which it decodes only if they are not ASCII. ``r_override`` (a decimal
+    string) replaces the header's recurrence base, with a warning when they
+    differ; the file's own errors are reported first."""
+    g = _parse_file(path, parse)
     if r_override is not None and (r_s := _parse_r(r_override)) != g.r_scaled:
         header, g = g.r_scaled, rebased(g, r_s)
         print(

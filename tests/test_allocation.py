@@ -48,6 +48,7 @@ def test_block_entries_sorted_and_validated():
         ([0, 0], [], []),  # an empty block
         ([1, 1], [0], [one]),
         ([0, 1], [0, 1], [one, one]),  # entries past the last block
+        ([0, 1], [0], [one, one]),  # a weight with no element
         ([0, 1], [0], [0]),
         ([0, 1], [0], [-one]),
         ([0, 1], [-1], [one]),
@@ -434,8 +435,12 @@ def test_non_ascii_bytes_parse_as_their_text(parse, seen):
     text = "# caf\u00e9\nn=4 r=1.0\u3000\n1:2\u20282\xa03:0.5\x85\n4 \u0663\n"
     assert seen(parse, text.encode()) == seen(parse, text)
     assert not isinstance(seen(parse, text), str)  # it parses
-    with pytest.raises(ValueError):
-        parse(b"n=2 r=1.0\n1 \xff\n")
+    # a bad byte's line counts every break str.splitlines knows: \r\n as one,
+    # U+2028 and U+0085 as well
+    assert seen(parse, b"n=2 r=1.0\n1 \xff\n") == "line 2: not valid UTF-8 (byte 0xff)"
+    assert seen(parse, b"n=2 r=1.0\r\n1\xe2\x80\xa82\xc2\x85\xff\n") == (
+        "line 4: not valid UTF-8 (byte 0xff)"
+    )
 
 
 FRAGMENTS = st.sampled_from([

@@ -488,8 +488,8 @@ def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, lay
                                                            argv, line):
     # allocation mode counts lines at every break str.splitlines knows, as
     # its parser does; numeric mode at \n, \r and \r\n only, as csv does.
-    # An ASCII allocation file, a byte-order mark skipped, goes to the
-    # parser as bytes: with the stand-in, the BOM layout takes that route
+    # Every allocation file, a byte-order mark skipped, goes to the parser
+    # as bytes, so the parser counts the lines of the bad byte as well
     path = tmp_path / "in.txt"
     for filler in (stand_in, b"\xff"):
         path.write_bytes(layout % filler)
@@ -644,27 +644,27 @@ def test_entropy_matches_the_allocation_route(tmp_path_factory, n, r, override, 
 
 
 @pytest.mark.parametrize(
-    "data, route",
+    "data",
     [
-        (b"\xef\xbb\xbfn=3 r=1.0\n1:2 2\n# 1:x\n3 1\n", bytes),
-        (b"n=3 r=1.0\r\n1:2 2\r\n\r\n3:0.5 1\r\n", bytes),
-        (b"\xef\xbb\xbfn=3 r=1.0\r\n1:2 4\r\n", bytes),  # a parse error after a BOM
-        ("n=3 r=1.0\n1:2\u30002 3\n3\n".encode(), str),
-        ("\ufeffn=3 r=1.0\u2028 1\u30002:0.5\r\n".encode(), str),
-        (b"\xef\xbb\xbfn=3 r=1.0\n1 2\n\xff 3\n", None),  # bad UTF-8 after a BOM
+        b"\xef\xbb\xbfn=3 r=1.0\n1:2 2\n# 1:x\n3 1\n",
+        b"n=3 r=1.0\r\n1:2 2\r\n\r\n3:0.5 1\r\n",
+        b"\xef\xbb\xbfn=3 r=1.0\r\n1:2 4\r\n",  # a parse error after a BOM
+        "n=3 r=1.0\n1:2\u30002 3\n3\n".encode(),
+        "\ufeffn=3 r=1.0\u2028 1\u30002:0.5\r\n".encode(),
+        b"\xef\xbb\xbfn=3 r=1.0\n1 2\n\xff 3\n",  # bad UTF-8 after a BOM
     ],
     ids=["bom", "crlf", "bom-error", "u3000", "bom-u2028", "bom-bad-utf8"],
 )
 @pytest.mark.parametrize("override", [None, "0.5"])
-def test_entropy_reads_bytes_and_text_alike(tmp_path, data, route, override):
-    # an ASCII file goes to the parser as bytes, others as decoded text;
-    # both give what the decoded text gives
+def test_entropy_reads_bytes_and_text_alike(tmp_path, data, override):
+    # every file goes to the parser as its bytes, a BOM skipped, non-ASCII
+    # and bad UTF-8 ones too; each gives what the decoded text gives
     path = tmp_path / "a.txt"
     path.write_bytes(data)
     argv = ["entropy", "--input", str(path)] + ([] if override is None else ["--r", override])
     with mock.patch("gea.cli.parse_block_sizes", wraps=parse_block_sizes) as spy:
         assert run_main(argv) == entropy_through_the_allocation(path, override)
-    assert [type(c.args[0]) for c in spy.call_args_list] == [route] * (route is not None)
+    assert [c.args[0] for c in spy.call_args_list] == [data.removeprefix(b"\xef\xbb\xbf")]
 
 
 def test_entropy_of_a_large_file_is_bit_identical_on_both_routes(tmp_path):
