@@ -17,9 +17,9 @@ pure, so values can be shared freely across threads.
 The text parser takes ``str`` or UTF-8 ``bytes``. It walks ASCII bytes as
 they are. Other bytes it decodes, naming the line of a bad byte; other text
 it encodes to UTF-8 once, non-ASCII whitespace mapped to ASCII first. It
-walks the bytes in pieces of a bounded number of tokens: numpy finds each
-piece's tokens, the lines they open and the comment lines, checks the token
-grammar and reads the digits. A token it cannot certify (Unicode digits, a
+walks the bytes in pieces of a fixed byte window: numpy finds each piece's
+tokens, the lines they open and the comment lines, checks the token grammar
+and reads the digits. A token it cannot certify (Unicode digits, a
 signed weight, over six decimals, a field too long for int64, a malformed
 token) takes the scalar check, which converts it exactly or raises the error
 naming its line, counted from the token's byte offset. The walk has two ends.
@@ -258,9 +258,10 @@ def cod(g: FeatureAllocation) -> COD:
 # skipped.
 
 _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
-# Tokens per numpy pass: its per-token int64 temporaries then stay near
-# 1 MiB, well below the fold at the end, which sets the parse's peak memory.
-_CHUNK_TOKENS = 2**12
+# Bytes per numpy pass, extended to the next whitespace: its temporaries stay
+# near 1 MiB for tokens of 8 bytes or more, 2.7 MiB for one-byte tokens, well
+# below the fold at the end, which sets the CSR parse's peak memory.
+_CHUNK_BYTES = 2**15
 # Non-ASCII whitespace to ASCII: the line breaks to \x1e, also a break of
 # str.splitlines that never pairs with \r, the others to a space
 _UNICODE_SPACES = str.maketrans(
@@ -332,13 +333,13 @@ def parse_block_sizes(text: str | bytes) -> SimpleNamespace:
 def _walk(text: str | bytes):
     """The token walk of both parsers, a generator. It yields n, the header's
     r_scaled and a Counter that it fills with the units each block's weights
-    hold beyond int64, then per piece of at most _CHUNK_TOKENS tokens three
-    int64 arrays: the piece's blocks' first tokens, numbered from the first
-    block, its 0-based elements and its weights; a last piece, of no tokens,
-    gives the token count. Comment lines are dropped. ASCII bytes are walked
-    as they are; other text is decoded from UTF-8 if it is bytes, its
-    non-ASCII whitespace mapped to ASCII, and encoded. A bad UTF-8 byte's
-    error and the header's come with the first item, a token's with its piece."""
+    hold beyond int64, then per piece, a window of _CHUNK_BYTES bytes run on to
+    whitespace, three int64 arrays: the piece's blocks' first tokens, numbered
+    from the first block, its 0-based elements and its weights; a last piece, of
+    no tokens, gives the token count. Comment lines are dropped. ASCII bytes are
+    walked as they are; other text is decoded from UTF-8 if it is bytes, its
+    non-ASCII whitespace mapped to ASCII, and encoded. A bad UTF-8 byte's error
+    and the header's come with the first item, a token's with its piece."""
     if not text.isascii():
         try:  # bytes are freed once decoded, before the str is mapped
             text = text if isinstance(text, str) else text.decode()
@@ -383,17 +384,15 @@ def _blocks(data: bytes, p: int, n: int, excess: Counter):
     count = blocks = 0  # tokens and blocks so far
     opening, comment = True, False  # a break since the last token; the last line a comment
     while p < len(data):
-        # a window of 8 bytes a token, extended to whitespace: it cuts no token
-        ws = _SPACE.search(data, p + 8 * _CHUNK_TOKENS - 1)
+        # a byte window, extended to whitespace: it cuts no token
+        ws = _SPACE.search(data, p + _CHUNK_BYTES - 1)
         piece = data[p : ws.start() if ws else len(data)]
         b = np.frombuffer(piece.translate(_CLASSES), np.uint8)
         edges = np.flatnonzero(np.diff(b <= 32, prepend=True, append=True))
         s, e = edges[::2], edges[1::2]  # each token's first byte and its end
-        stop = s[_CHUNK_TOKENS] if len(s) > _CHUNK_TOKENS else len(b)  # the piece's end
-        s, e, b = s[:_CHUNK_TOKENS], e[:_CHUNK_TOKENS], b[:stop]
         # a token opens a line if a break follows the token before it; the
         # piece's end too, for the next piece's first token
-        brks = np.searchsorted(np.flatnonzero(b == 10), np.append(s, stop))
+        brks = np.searchsorted(np.flatnonzero(b == 10), np.append(s, len(b)))
         gap = np.diff(brks, prepend=-opening) > 0
         opens, opening = gap[:-1], bool(gap[-1])
         if comment or b"#" in piece:  # per line, whether it is a comment, the last piece's first
@@ -413,7 +412,7 @@ def _blocks(data: bytes, p: int, n: int, excess: Counter):
             if weight > _INT64_MAX:  # so is its block's size, reported once all lines parse
                 excess[blocks + int(np.searchsorted(first, t, "right")) - 1] += weight - _INT64_MAX
         yield count + first, el, w
-        count, blocks, p = count + len(s), blocks + len(first), p + int(stop)
+        count, blocks, p = count + len(s), blocks + len(first), p + len(b)
     empty = np.zeros(0, dtype=np.int64)
     yield np.array([count]), empty, empty
 

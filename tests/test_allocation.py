@@ -43,6 +43,7 @@ def test_block_entries_sorted_and_validated():
             FeatureAllocation.from_weights(6, [bad])
     # the constructor checks arrays it is given the same way
     assert FeatureAllocation(6, [0, 2], [1, 5], [2 * fp.SCALE, fp.SCALE]) == g
+    assert g != "x" and (g == object()) is False  # other types compare unequal
     one = fp.SCALE
     for indptr, elems, weights in [
         ([0, 0], [], []),  # an empty block
@@ -401,12 +402,12 @@ def random_parser_text(rng):
 
 
 def test_parser_matches_the_per_token_reference():
-    # same arrays byte for byte, or the same error message; small chunks
-    # put chunk edges inside lines and between a bad token and its line.
-    # parse_block_sizes gives the same sizes, or the same message. An ASCII
-    # text's bytes, which both ends walk as they are, give the same again;
-    # at chunks of 3 and 1 blocks span pieces, so the block sizes are summed
-    # across piece edges.
+    # same arrays byte for byte, or the same error message; small byte
+    # windows put piece edges inside lines and between a bad token and its
+    # line. parse_block_sizes gives the same sizes, or the same message. An
+    # ASCII text's bytes, which both ends walk as they are, give the same
+    # again; at windows of 24 and 8 bytes blocks span pieces, so the block
+    # sizes are summed across piece edges.
     rng = random.Random(2024)
     kinds = {"parsed": 0, "parsed non-ASCII": 0, "raised": 0, "block size": 0}
     for i in range(2_400):
@@ -414,8 +415,8 @@ def test_parser_matches_the_per_token_reference():
         want = outcome(reference_parse_allocation_text, text)
         sizes = sizes_outcome(reference_parse_allocation_text, text)
         inputs = [text, text.encode()] if text.isascii() else [text]
-        for chunk in [allocation._CHUNK_TOKENS] + [3] * (i % 4 == 0) + [1] * (i % 20 == 0):
-            with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+        for chunk in [allocation._CHUNK_BYTES] + [24] * (i % 4 == 0) + [8] * (i % 20 == 0):
+            with mock.patch.object(allocation, "_CHUNK_BYTES", chunk):
                 for given_text in inputs:
                     assert outcome(parse_allocation_text, given_text) == want, (chunk, given_text)
                     assert sizes_outcome(parse_block_sizes, given_text) == sizes, (chunk, given_text)
@@ -457,13 +458,13 @@ SEPARATORS = st.sampled_from(SPACES + ["  "])
     n=st.sampled_from([0, 1, 3, 10, 10**18, INT64_MAX]),
     lines=st.lists(st.tuples(st.lists(st.tuples(SEPARATORS, TOKENS), max_size=6),
                              st.sampled_from(LINE_BREAKS)), max_size=6),
-    chunk=st.sampled_from([1, 2, 4096]),
+    chunk=st.sampled_from([8, 16, 2**15]),
 )
 def test_parser_matches_the_reference_on_any_tokens(n, lines, chunk):
     text = f"n={n} r=1.0\n" + "".join(
         "".join(sep + tok for sep, tok in toks) + brk for toks, brk in lines
     )
-    with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+    with mock.patch.object(allocation, "_CHUNK_BYTES", chunk):
         assert outcome(parse_allocation_text, text) == outcome(reference_parse_allocation_text, text)
 
 
@@ -484,20 +485,25 @@ def test_fold_sorts_by_one_key_unless_it_would_pass_int64(blocks, lexsorted):
 
 
 def test_chunk_edges_inside_and_between_lines():
-    size = allocation._CHUNK_TOKENS
+    size = allocation._CHUNK_BYTES // 8
     rng = random.Random(5)
     long_line = weighted_lines(rng, 1, width=(2 * size + 5,) * 2)[0]
     sevens = weighted_lines(rng, size // 7 + 3, width=(7, 7))  # a chunk edge falls inside a line
-    for body in ([long_line], sevens, [long_line] + sevens, sevens + [long_line]):
+    # tokens of 1 to 5 bytes over more than two windows: a piece holds more
+    # than size of them
+    short = [" ".join(f"{rng.randint(1, 50)}{rng.choice(['', ':2'])}" for _ in range(8 * size))]
+    assert len(short[0]) > 2 * allocation._CHUNK_BYTES
+    for body in ([long_line], sevens, [long_line] + sevens, sevens + [long_line], short):
         text = "n=50 r=1.0\n" + "\n".join(body) + "\n"
         g = parse_allocation_text(text)
         assert outcome(parse_allocation_text, text) == outcome(reference_parse_allocation_text, text)
+        assert sizes_outcome(parse_block_sizes, text) == sizes_outcome(parse_allocation_text, text)
         assert len(g.indptr) == len(body) + 1
 
 
 @pytest.mark.parametrize("bad", ["7:x", "\u0663:1.5x", "51"])
 def test_bad_token_in_a_later_chunk_names_its_line(bad):
-    size = allocation._CHUNK_TOKENS
+    size = allocation._CHUNK_BYTES // 8
     rng = random.Random(6)
     lines = weighted_lines(rng, size // 3 + 20, width=(3, 3))
     toks = lines[-5].split()
@@ -512,11 +518,12 @@ def test_bad_token_in_a_later_chunk_names_its_line(bad):
         assert str(exc.value) == outcome(reference_parse_allocation_text, text)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, allocation._CHUNK_TOKENS])
+@pytest.mark.parametrize("width", [1, 3, allocation._CHUNK_BYTES // 8])
 @pytest.mark.parametrize("bad", [None, "4:x"])
-def test_every_line_break_over_a_long_text(bad, chunk):
-    # over two chunks of tokens, every break str.splitlines knows, blank and
-    # comment lines among them, keeps each line's number
+def test_every_line_break_over_a_long_text(bad, width):
+    # over two windows of 8-byte tokens, every break str.splitlines knows,
+    # blank and comment lines among them, keeps each line's number; windows
+    # as wide as 1, 3 and _CHUNK_BYTES // 8 such tokens
     rng = random.Random(9)
     body = []
     for _ in range(150):
@@ -525,10 +532,10 @@ def test_every_line_break_over_a_long_text(bad, chunk):
             body += ["2", brk, "\n", brk, " 3:0.5\t1 ", "\n"]
     body.insert(len(body) // 2 + 1, f"5 {bad}\n" if bad else "")
     text = "n=9 r=1.0\n" + "".join(body)
-    assert len(text.split()) > 2 * allocation._CHUNK_TOKENS
+    assert len(text.split()) > 2 * (allocation._CHUNK_BYTES // 8)
     want = outcome(reference_parse_allocation_text, text)
     assert isinstance(want, str) == bool(bad)
-    with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+    with mock.patch.object(allocation, "_CHUNK_BYTES", 8 * width):
         assert outcome(parse_allocation_text, text) == want
 
 
@@ -566,14 +573,14 @@ PIECE_EDGES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("width", [1, 3])
 @pytest.mark.parametrize("where", PIECE_EDGES)
-def test_piece_edges(where, chunk):
-    # pieces of 1 and 3 tokens have byte windows of 8 and 24 bytes, so piece
-    # and window edges fall at every kind of place in these texts
+def test_piece_edges(where, width):
+    # windows as wide as 1 and 3 tokens of 8 bytes, 8 and 24 bytes, put
+    # piece edges at every kind of place in these texts
     for text in PIECE_EDGES[where]:
         want = outcome(reference_parse_allocation_text, text)
-        with mock.patch.object(allocation, "_CHUNK_TOKENS", chunk):
+        with mock.patch.object(allocation, "_CHUNK_BYTES", 8 * width):
             assert outcome(parse_allocation_text, text) == want, text
 
 

@@ -498,6 +498,18 @@ def test_invalid_utf8_line_is_the_line_a_parse_error_names(tmp_path, capsys, lay
         assert int(named.group(2)) == line, filler
 
 
+def entropy_pass_peak(path):
+    """The traced peak memory of one `gea entropy` pass over ``path``."""
+    with redirect_stdout(io.StringIO()):
+        assert main(["entropy", "--input", path]) == 0  # warm-up: lazy imports
+        tracemalloc.start()
+        try:
+            assert main(["entropy", "--input", path]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def test_entropy_pass_peak_memory_per_token(tmp_path):
     # gea entropy reads block sizes only. The ASCII file goes to the parser
     # as bytes, never decoded, and the walk sums each piece's weights per
@@ -515,15 +527,21 @@ def test_entropy_pass_peak_memory_per_token(tmp_path):
     assert tokens == 100_715
     path = write(tmp_path, "a.txt", text)
     del text
-    with redirect_stdout(io.StringIO()):
-        assert main(["entropy", "--input", path]) == 0  # warm-up: lazy imports
-        tracemalloc.start()
-        try:
-            assert main(["entropy", "--input", path]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peak = entropy_pass_peak(path)
     assert peak <= 22 * tokens, peak / tokens
+
+
+def test_entropy_pass_peak_memory_on_one_byte_tokens(tmp_path):
+    # the walk's worst case: one line of one-byte tokens, 2 bytes a token,
+    # puts 16,384 tokens in each 32 KiB window. The peak is the file's bytes
+    # plus one piece's temporaries, 2.7 MiB: 4.8 bytes a token at 10**6
+    # tokens. 6 leaves 1.2 bytes a token (1.1 MiB) for fixed costs; a window
+    # twice as wide took 7.6, and one piece of the whole line 138
+    tokens = 10**6
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"n=1 r=1.0\n" + b"1 " * tokens + b"\n")
+    peak = entropy_pass_peak(str(path))
+    assert peak <= 6 * tokens, peak / tokens
 
 
 # --- exit codes on arbitrary allocation text ---------------------------------------
