@@ -317,7 +317,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     try:
         heights = np.full((n, n), np.inf)
         exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise ValueError(f"n={n} is too large: the score matrices need {9 * n * n} bytes") from None
     # slot i: entries, size (0 once retired), node id, heights row/column
     slots = _Slots(g)

@@ -14,18 +14,18 @@ categorization build the arrays once; everything else reads them as arrays.
 All types are immutable (the arrays are read-only) and all operations are
 pure, so values can be shared freely across threads.
 
-The text parser takes ``str`` or UTF-8 ``bytes``. It walks ASCII bytes as
-they are. Other bytes it decodes, naming the line of a bad byte; other text
-it encodes to UTF-8 once, non-ASCII whitespace mapped to ASCII first. It
-walks the bytes in pieces of a fixed byte window: numpy finds each piece's
-tokens, the lines they open and the comment lines, checks the token grammar
-and reads the digits. A token it cannot certify (Unicode digits, a
-signed weight, over six decimals, a field too long for int64, a malformed
-token) takes the scalar check, which converts it exactly or raises the error
-naming its line, counted from the token's byte offset. The walk has two ends.
-``parse_allocation_text`` folds the tokens into the CSR arrays, freeing a
-``str`` once encoded, its bytes before the fold and each token array after
-the fold's last use of it; for this CSR build the fold sets the peak memory.
+The text parser takes the file's UTF-8 bytes. It walks ASCII bytes as they
+are. Other bytes it decodes, naming the line of a bad byte, and encodes once
+more, non-ASCII whitespace mapped to ASCII first. It walks the bytes in
+pieces of a fixed byte window: numpy finds each piece's tokens, the lines
+they open and the comment lines, checks the token grammar and reads the
+digits. A token it cannot certify (Unicode digits, a signed weight, over six
+decimals, a field too long for int64, a malformed token) takes the scalar
+check, which converts it exactly or raises the error naming its line,
+counted from the token's byte offset. The walk has two ends.
+``parse_allocation_text`` folds the tokens into the CSR arrays, freeing the
+bytes before the fold and each token array after the fold's last use of it;
+for this CSR build the fold sets the peak memory.
 ``parse_block_sizes``, for the entropy, sums each piece's weights per block
 as the piece comes, in high and low 32-bit halves, and carries the block
 open at its end into the next piece: it keeps no per-token array, no fold,
@@ -281,25 +281,25 @@ _CLASSES = bytes(c if c in b"0123456789:." else 10 if c in _BREAKS else 32 if c 
                  for c in range(256))
 
 
-def parse_allocation_text(text: str | bytes) -> FeatureAllocation:
-    """Parse the allocation text format, ``str`` or UTF-8 ``bytes``. Raises
+def parse_allocation_text(data: bytes) -> FeatureAllocation:
+    """Parse the allocation text format from its UTF-8 bytes. Raises
     ValueError with a line number on malformed input. :func:`rebased`
     replaces the header's recurrence base.
 
-    ASCII bytes are read as they are, other text is encoded to UTF-8 once;
+    ASCII bytes are read as they are, others decoded and encoded once more;
     numpy finds the lines, tokens and comments in the bytes and converts the
     tokens a bounded piece at a time.
     """
-    walk = _walk(text)
-    del text  # the walk frees it once encoded, unless the caller keeps it (gea's CLI does not)
+    walk = _walk(data)
+    del data  # the walk frees them before the fold, unless the caller keeps them (gea's CLI doesn't)
     n, r_scaled, excess = next(walk)
     cols = list(zip(*walk))  # the pieces' block starts, elements and weights
     starts, *tokens = (np.concatenate(cols.pop(0)) for _ in range(3))  # each list goes once joined
     return _from_tokens(n, starts, tokens, excess, r_scaled)
 
 
-def parse_block_sizes(text: str | bytes) -> SimpleNamespace:
-    """What an entropy reads of allocation text, ``str`` or UTF-8 ``bytes``:
+def parse_block_sizes(data: bytes) -> SimpleNamespace:
+    """What an entropy reads of allocation text, given its UTF-8 bytes:
     ``n``, ``r_scaled`` and ``sizes``, each block's total weight as int64,
     equal to those fields of :func:`parse_allocation_text`, with its errors.
     It runs that parser's walk and sums each piece's weights per block, in
@@ -310,8 +310,8 @@ def parse_block_sizes(text: str | bytes) -> SimpleNamespace:
     for being positive, no block is empty, the size check keeps every size
     within int64, and the recurrence base is checked here.
     """
-    walk = _walk(text)
-    del text  # as in parse_allocation_text
+    walk = _walk(data)
+    del data  # as in parse_allocation_text
     n, r_scaled, excess = next(walk)
     sums, carry, seen = [], 0, 0  # per piece its blocks' half sums; the open block's; tokens
     for first, _, w in walk:
@@ -330,33 +330,32 @@ def parse_block_sizes(text: str | bytes) -> SimpleNamespace:
     return SimpleNamespace(n=n, r_scaled=_base(r_scaled), sizes=sizes)
 
 
-def _walk(text: str | bytes):
+def _walk(data: bytes):
     """The token walk of both parsers, a generator. It yields n, the header's
     r_scaled and a Counter that it fills with the units each block's weights
     hold beyond int64, then per piece, a window of _CHUNK_BYTES bytes run on to
     whitespace, three int64 arrays: the piece's blocks' first tokens, numbered
     from the first block, its 0-based elements and its weights; a last piece, of
     no tokens, gives the token count. Comment lines are dropped. ASCII bytes are
-    walked as they are; other text is decoded from UTF-8 if it is bytes, its
-    non-ASCII whitespace mapped to ASCII, and encoded. A bad UTF-8 byte's error
-    and the header's come with the first item, a token's with its piece."""
-    if not text.isascii():
-        try:  # bytes are freed once decoded, before the str is mapped
-            text = text if isinstance(text, str) else text.decode()
+    walked as they are; other bytes are decoded from UTF-8, their non-ASCII
+    whitespace mapped to ASCII, and encoded. A bad UTF-8 byte's error and the
+    header's come with the first item, a token's with its piece."""
+    if not data.isascii():
+        try:  # each copy goes once the next is made: the bytes, the text, the mapped text
+            data = data.decode()
         except UnicodeDecodeError as exc:  # lines as str.splitlines counts them, the bad byte a "?"
             line = len((exc.object[: exc.start].decode() + "?").splitlines())
             bad = exc.object[exc.start]
             raise ValueError(f"line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
-        text = text.translate(_UNICODE_SPACES)
-    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    del text  # a str is freed here unless the caller keeps it (gea's CLI keeps none)
-    if b"\r" in data:  # one break, as in str.splitlines
+        data = data.translate(_UNICODE_SPACES)
+        data = data.encode()
+    if b"\r" in data:  # one break, as in str.splitlines; memchr, where replace scans 100x slower
         data = data.replace(b"\r\n", b"\n")
     at, end = _PREAMBLE.match(data).span(1)  # the header line
     if at == end or data[at] == 35:  # no line left, or a '#' line that no break ends
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
     lineno = _lineno(data, at)
-    m = _HEADER_RE.match(data[at:end].decode("utf-8", "surrogatepass").rstrip())
+    m = _HEADER_RE.match(data[at:end].decode().rstrip())
     if not m:
         raise ValueError(f"line {lineno}: expected header 'n=<int> r=<decimal>'")
     n = fp.bounded_int(m.group(1))
@@ -405,7 +404,7 @@ def _blocks(data: bytes, p: int, n: int, excess: Counter):
         for t in np.flatnonzero(~ok).tolist():
             at = p + int(s[t])
             try:
-                el[t], weight = _token(data[at : p + int(e[t])].decode("utf-8", "surrogatepass"), n)
+                el[t], weight = _token(data[at : p + int(e[t])].decode(), n)
             except ValueError as exc:
                 raise ValueError(f"line {_lineno(data, at)}: {exc}") from None
             w[t] = min(weight, _INT64_MAX)
@@ -474,7 +473,7 @@ def _token(tok: str, n: int) -> tuple[int, int]:
 
 
 def format_allocation_text(g: FeatureAllocation) -> str:
-    """Serialize to the text format; parse_allocation_text round-trips it."""
+    """Serialize to the text format; parse_allocation_text round-trips its UTF-8 bytes."""
     el, w, ptr = g.elems.tolist(), g.weights.tolist(), g.indptr.tolist()
     lines = [f"n={g.n} r={fp.format_decimal(g.r_scaled)}"] + [
         " ".join(f"{e + 1}:{fp.format_decimal(x)}" for e, x in zip(el[lo:hi], w[lo:hi]))

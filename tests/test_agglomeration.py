@@ -48,7 +48,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 def three_elements():
     # {1,2} share a block; 3 sits alone
-    return parse_allocation_text("n=3 r=1.0\n1 2\n3\n")
+    return parse_allocation_text(b"n=3 r=1.0\n1 2\n3\n")
 
 
 # --- gea ---------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_empty_universe_rejected():
 
 
 def test_two_singleton_blocks_merge_at_log2():
-    g = parse_allocation_text("n=2 r=1.0\n1\n2\n")
+    g = parse_allocation_text(b"n=2 r=1.0\n1\n2\n")
     d = gea(g)
     (m,) = d.merges
     assert {m.left, m.right} == {0, 1}
@@ -547,7 +547,7 @@ def test_dead_entries_compact_and_merges_match_full_scan(monkeypatch):
     # third input elements 6..9 hold no block, so slot a's support is empty
     # when two of them merge, and so is a merge with no partner left
     alike, scattered = tie_heavy_inputs()
-    sparse = parse_allocation_text("n=10 r=1.0\n1 2:2 3\n2 4:0.5\n5 6 1:3\n6\n")
+    sparse = parse_allocation_text(b"n=10 r=1.0\n1 2:2 3\n2 4:0.5\n5 6 1:3\n6\n")
     real_merge, real_compact = agglomeration._Slots.merge, agglomeration._Slots.compact
     live, merged, shrunk = np.ones(0, dtype=bool), np.zeros(0, dtype=bool), []
 

@@ -101,6 +101,16 @@ def test_parse_csv_missing_label_column(tmp_path):
         parse_csv(path, label_col="label")
 
 
+def test_csv_of_only_the_label_column_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "labels.csv", "label\nx\ny\n")
+    argv = ["cluster", "--input", path, "--mode", "numeric", "--label-col", "label",
+            "--d", "2", "--m", "1", "--gamma", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: no numeric columns\n"
+    assert captured.out == ""
+
+
 def test_parse_csv_skips_byte_order_mark(tmp_path):
     path = write(tmp_path, "bom.csv", "\ufeffspecies,x\na,1.0\nb,2.0\n")
     ds = parse_csv(path, label_col="species")
@@ -301,6 +311,19 @@ def test_n_too_large_for_the_score_matrices_exits_1(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(np, "full", full)
     assert main([*argv, write(tmp_path, "a.txt", "n=3 r=1.0\n1 2\n")]) == 1
     assert capsys.readouterr().err == "error: n=3 is too large: the score matrices need 81 bytes\n"
+
+
+@pytest.mark.parametrize("n, need", [
+    ("100000000000", "90000000000000000000000"),
+    ("123456789012345678", "137174208779149528751714697887517156"),
+])
+def test_n_past_numpy_largest_array_exits_1(tmp_path, capsys, n, need):
+    # numpy refuses an array this large with a ValueError, not a MemoryError
+    path = write(tmp_path, "huge.txt", f"n={n} r=1.0\n1 2\n")
+    assert main(["cluster", "--mode", "allocation", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n={n} is too large: the score matrices need {need} bytes\n"
+    assert captured.out == ""
 
 
 def test_m_too_large_for_the_categories_exits_1(tmp_path, capsys):
@@ -607,7 +630,7 @@ ENTROPY_LINES = st.tuples(LINES, st.lists(MORE_LINES, max_size=3)).flatmap(
 def entropy_through_the_allocation(path, override):
     """The exit code, stdout and stderr of gea entropy as it was computed
     from the whole allocation: generalized_entropy of parse_allocation_text
-    on the decoded text, a byte-order mark skipped, rebuilt with the --r
+    on the decoded text's UTF-8, a byte-order mark skipped, rebuilt with the --r
     value when it differs, with the CLI's messages."""
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -618,7 +641,7 @@ def entropy_through_the_allocation(path, override):
             bad = exc.object[exc.start]
             raise ValueError(f"{path}: line {line}: not valid UTF-8 (byte 0x{bad:02x})") from None
         try:
-            g = parse_allocation_text(text)
+            g = parse_allocation_text(text.encode())
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if override is not None:

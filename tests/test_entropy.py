@@ -21,7 +21,7 @@ from helpers import random_allocation, random_integer_allocation, ragged, scaled
 
 
 def fixture_f():
-    return parse_allocation_text("n=7 r=1.0\n1 3 6 7\n2\n4 5\n5\n")
+    return parse_allocation_text(b"n=7 r=1.0\n1 3 6 7\n2\n4 5\n5\n")
 
 
 def one_block(size, n, r):
@@ -135,14 +135,14 @@ def test_cod_form_matches_on_reference_example():
 
 
 def test_cod_form_trivials():
-    full = parse_allocation_text("n=3 r=1.0\n1 2 3\n")
+    full = parse_allocation_text(b"n=3 r=1.0\n1 2 3\n")
     assert generalized_entropy_cod(full) == 0.0
     assert generalized_entropy_cod(FeatureAllocation.from_weights(3, [])) == 0.0
 
 
 def test_cod_form_handles_sizes_beyond_n():
     # one element with multiplicity 3: block size 3 > n=1
-    g = parse_allocation_text("n=1 r=1.0\n1 1 1\n")
+    g = parse_allocation_text(b"n=1 r=1.0\n1 1 1\n")
     assert generalized_entropy_cod(g) == pytest.approx(
         generalized_entropy(g), abs=1e-12
     )
@@ -210,7 +210,7 @@ def test_scaling_weights_and_r_together_preserves_entropy(seed, factor):
 
 def test_multiset_embedding_is_bitwise_consistent():
     # repeated bare tokens fold into the integer weights from_weights is given
-    via_multiset = parse_allocation_text("n=7 r=1.0\n1 3 3 6 7\n2\n4 5 5 5\n")
+    via_multiset = parse_allocation_text(b"n=7 r=1.0\n1 3 3 6 7\n2\n4 5 5 5\n")
     explicit = FeatureAllocation.from_weights(
         7, [{0: 1, 2: 2, 5: 1, 6: 1}, {1: 1}, {3: 1, 4: 3}], r=1
     )
