@@ -309,8 +309,6 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     n = g.n
     if n < 1:
         raise ValueError("need at least one element to cluster")
-    if n == 1:
-        return Dendrogram(1, g.r_scaled, ())
 
     # score of the union of slots a < b at [a, b]; inf below the diagonal and in the row
     # and column of every retired slot. First: an n too large fails before any O(n) work
@@ -392,13 +390,11 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         node[a] = n + step
         heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
         exact[a, :] = exact[:, a] = False
-        o = size > 0
-        o[a] = False
-        o = o.nonzero()[0]
-        if len(o):  # rescore the kept slot's pairs
-            h = np.empty(len(o))
-            beta = max(beta, union_scores(slots, slice(a, a + 1), o, ref[size[o] + size[a]], h).max())
-            heights[np.minimum(o, a), np.maximum(o, a)] = h
+        o = np.flatnonzero(size)  # rescore the kept slot's pairs; none after the last merge
+        o = o[o != a]
+        h = np.empty(len(o))
+        beta = max(beta, union_scores(slots, slice(a, a + 1), o, ref[size[o] + size[a]], h).max(initial=0))
+        heights[np.minimum(o, a), np.maximum(o, a)] = h
         np.minimum(low[:a], heights[:a, a], out=low[:a])
         np.minimum(fresh[:a], heights[:a, a], out=fresh[:a])
         for i in range(0, len(stale), k):
@@ -406,7 +402,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
             low[s] = heights[s].min(axis=1)
         fresh[a] = low[a]
 
-    if merges[-1].size != n:
+    if merges and merges[-1].size != n:
         raise RuntimeError("internal: agglomeration did not consume all elements")
     return Dendrogram(n, g.r_scaled, tuple(merges))
 
@@ -433,19 +429,15 @@ def cut(d: Dendrogram, k: int) -> ClusterSet:
 def score_accuracy(clusters: ClusterSet, labels: Sequence[str]) -> tuple[int, int]:
     """Majority-label accuracy of a flat clustering against ground truth.
 
-    Each cluster maps to its most frequent ground-truth label; within-cluster
-    ties resolve to the lexicographically smallest tied label (either tied
-    choice leaves the error count unchanged). Returns (correct, total).
+    Each cluster counts as correct the elements of its most frequent
+    ground-truth label. Returns (correct, total).
     """
     total = len(clusters.labels)
     if len(labels) != total or any(lab is None for lab in labels):
         raise ValueError("ground-truth labels must cover every element")
     correct = 0
     for cluster_lab in range(clusters.k):
-        counts = Counter(labels[e] for e in clusters.members(cluster_lab))
-        best = max(counts.values())
-        mapped = min(lab for lab, c in counts.items() if c == best)
-        correct += counts[mapped]
+        correct += max(Counter(labels[e] for e in clusters.members(cluster_lab)).values())
     return correct, total
 
 

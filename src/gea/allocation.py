@@ -153,8 +153,7 @@ def _checked_sizes(hi: np.ndarray, lo: np.ndarray, excess: dict) -> np.ndarray:
     int64 once ``excess[i]`` units missing from the weights are added to
     block i. lo is below 2**63 in a block of fewer than 2**31 entries."""
     over = hi + (lo >> 32) >= 2**31
-    if excess:
-        over[list(excess)] = True
+    over[list(excess)] = True
     if len(bad := np.flatnonzero(over)):
         i = int(bad[0])
         size = int(hi[i]) * 2**32 + int(lo[i]) + excess.get(i, 0)

@@ -70,19 +70,16 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
             if label_col not in header:
                 raise ValueError(f"no column named {label_col!r}")
             label_idx = header.index(label_col)
-        dims = tuple(h for i, h in enumerate(header) if i != label_idx)
-        if not dims:
+        cols = [i for i in range(len(header)) if i != label_idx]
+        if not cols:
             raise ValueError("no numeric columns")
         values = []
-        labels: list[str] | None = [] if label_idx is not None else None
         for rowno, row in rows[1:]:
             if len(row) != len(header):
                 raise ValueError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
             vals = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    labels.append(cell.strip())
-                    continue
+            for i in cols:
+                cell = row[i]
                 try:
                     if "_" in cell:  # float() would read digit-group underscores: 1_0 as 10
                         raise ValueError
@@ -98,7 +95,8 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
             values.append(tuple(vals))
         if not values:
             raise ValueError("no data rows")
-        return NumericDataset(dims, tuple(values), tuple(labels) if labels else None)
+        labels = None if label_idx is None else tuple(row[label_idx].strip() for _, row in rows[1:])
+        return NumericDataset(tuple(header[i] for i in cols), tuple(values), labels)
 
     return _parse_file(path, dataset)
 
@@ -185,11 +183,9 @@ def _emit(dend, args: argparse.Namespace) -> None:
         for text in texts.values():
             print(text)
         return
-    if len(texts) == 1:
-        Path(args.output).write_text(next(iter(texts.values())) + "\n", encoding="utf-8")
-    else:
-        for ext, text in texts.items():
-            Path(f"{args.output}.{ext}").write_text(text + "\n", encoding="utf-8")
+    for ext, text in texts.items():
+        path = args.output if len(texts) == 1 else f"{args.output}.{ext}"
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 class _Parser(argparse.ArgumentParser):

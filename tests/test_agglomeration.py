@@ -763,6 +763,11 @@ def test_score_tie_is_lexicographic():
     assert (correct, total) == (2, 4)
 
 
+def test_score_counts_each_cluster_majority_with_ties():
+    cs = ClusterSet(3, (0, 0, 1, 1, 1, 2, 2))
+    assert score_accuracy(cs, ["a", "b", "a", "b", "b", "c", "d"]) == (4, 7)
+
+
 def test_score_requires_full_labels():
     cs = ClusterSet(1, (0, 0))
     with pytest.raises(ValueError):

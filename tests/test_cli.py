@@ -117,6 +117,16 @@ def test_parse_csv_skips_byte_order_mark(tmp_path):
     assert ds.dims == ("x",) and ds.labels == ("a", "b")
 
 
+def test_parse_csv_label_column_between_numeric_ones(tmp_path):
+    path = write(tmp_path, "mid.csv", "a,label,b\n1,x,2\n3,y,4\n")
+    ds = parse_csv(path, label_col="label")
+    assert ds.dims == ("a", "b") and ds.labels == ("x", "y")
+    assert ds.values == ((1.0, 2.0), (3.0, 4.0))
+    path = write(tmp_path, "mid-bad.csv", "a,label,b\n1,x,2\n3,y,oops\n")
+    with pytest.raises(ValueError, match="row 3, column 'b': cannot parse 'oops' as a number"):
+        parse_csv(path, label_col="label")
+
+
 def test_parse_csv_missing_file():
     with pytest.raises(ValueError, match="cannot read"):
         parse_csv("/nonexistent/never.csv")
