@@ -238,6 +238,7 @@ def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np
         x += slots.mass[e]  # in floats: a's own entries may pass int64
         t = np.log(x)  # x >= 1, as each of a's masses is
         t *= x
+        del x
         t -= slots.f[p[lo:hi]].repeat(k)
         t -= slots.f[e]
         e = slots.owner[e]

@@ -17,12 +17,14 @@ pure, so values can be shared freely across threads.
 The text parser takes the file's UTF-8 bytes. It walks ASCII bytes as they
 are. Other bytes it decodes, naming the line of a bad byte, and encodes once
 more, non-ASCII whitespace mapped to ASCII first. It walks the bytes in
-pieces of a fixed byte window: numpy finds each piece's tokens, the lines
-they open and the comment lines, checks the token grammar and reads the
-digits. A token it cannot certify (Unicode digits, a signed weight, over six
-decimals, a field too long for int64, a malformed token) takes the scalar
-check, which converts it exactly or raises the error naming its line,
-counted from the token's byte offset. The walk has two ends.
+pieces of a 64 KiB window: numpy finds each piece's tokens, the lines they
+open and the comment lines, checks the token grammar and reads the digits,
+each array freed after its last use, so that a piece's arrays peak near
+0.5 MiB for tokens of 8 bytes and 2 MiB for one-byte tokens. A token it
+cannot certify (Unicode digits, a signed weight, over six decimals, a field
+too long for int64, a malformed token) takes the scalar check, which
+converts it exactly or raises the error naming its line, counted from the
+token's byte offset. The walk has two ends.
 ``parse_allocation_text`` folds the tokens into the CSR arrays, freeing the
 bytes before the fold and each token array after the fold's last use of it;
 for this CSR build the fold sets the peak memory.
@@ -258,9 +260,9 @@ def cod(g: FeatureAllocation) -> COD:
 
 _HEADER_RE = re.compile(r"n=(\d+)\s+r=(\S+)\Z")
 # Bytes per numpy pass, extended to the next whitespace: its temporaries stay
-# near 1 MiB for tokens of 8 bytes or more, 2.7 MiB for one-byte tokens, well
+# near 0.5 MiB for tokens of 8 bytes or more, 2 MiB for one-byte tokens, well
 # below the fold at the end, which sets the CSR parse's peak memory.
-_CHUNK_BYTES = 2**15
+_CHUNK_BYTES = 2**16
 # Non-ASCII whitespace to ASCII: the line breaks to \x1e, also a break of
 # str.splitlines that never pairs with \r, the others to a space
 _UNICODE_SPACES = str.maketrans(
@@ -274,10 +276,13 @@ _SPACE = re.compile(rb"[\t-\r\x1c-\x20]")
 _PREAMBLE = re.compile(
     rb"(?:[\t\x1f ]*(?:#[^\n\v\f\r\x1c-\x1e]*)?[\n\v\f\r\x1c-\x1e])*[\t\x1f ]*([^\n\v\f\r\x1c-\x1e]*)"
 )
-# bytes.translate table to byte classes: digits, ':' and '.' stay, a line
-# break becomes 10, a blank 32 and any other byte 255
-_CLASSES = bytes(c if c in b"0123456789:." else 10 if c in _BREAKS else 32 if c in _BLANKS else 255
-                 for c in range(256))
+# bytes.translate table to byte classes, in an order where one comparison
+# tells whitespace from token bytes: the digits become 0 to 9, ':' 10, '.' 11,
+# '#' 12, any other byte 13, a blank 14 and a line break 15
+_CLASSES = bytes(
+    k if (k := b"0123456789:.#".find(c)) >= 0 else 15 if c in _BREAKS else 14 if c in _BLANKS else 13
+    for c in range(256)
+)
 
 
 def parse_allocation_text(data: bytes) -> FeatureAllocation:
@@ -313,16 +318,18 @@ def parse_block_sizes(data: bytes) -> SimpleNamespace:
     del data  # as in parse_allocation_text
     n, r_scaled, excess = next(walk)
     sums, carry, seen = [], 0, 0  # per piece its blocks' half sums; the open block's; tokens
-    for first, _, w in walk:
+    for first, el, w in walk:
         # the halves, a 0 on each side: the part before the first block start
         # (none if a block starts there) adds to the open block, the last stays
         # open; the walk's last piece, of no tokens, closes it
         halves = np.zeros((2, len(w) + 2), np.int64)
-        halves[0, 1:-1], halves[1, 1:-1] = w >> 32, w & 2**32 - 1
+        np.right_shift(w, 32, out=halves[0, 1:-1])
+        np.bitwise_and(w, 2**32 - 1, out=halves[1, 1:-1])
         part = np.add.reduceat(halves, np.append(0, first - seen + 1), axis=1)
         part[:, 0] += carry
         sums.append(part[:, :-1])
         carry, seen = part[:, -1], seen + len(w)
+        del first, el, w, halves  # before the walk makes the next piece
     hi, lo = np.concatenate(sums, axis=1)[:, 1:]  # the first piece's first part is no block
     del sums
     sizes = _checked_sizes(hi, lo, excess)
@@ -384,21 +391,24 @@ def _blocks(data: bytes, p: int, n: int, excess: Counter):
     while p < len(data):
         # a byte window, extended to whitespace: it cuts no token
         ws = _SPACE.search(data, p + _CHUNK_BYTES - 1)
-        piece = data[p : ws.start() if ws else len(data)]
-        b = np.frombuffer(piece.translate(_CLASSES), np.uint8)
-        edges = np.flatnonzero(np.diff(b <= 32, prepend=True, append=True))
+        q = ws.start() if ws else len(data)
+        b = np.frombuffer(data[p:q].translate(_CLASSES), np.uint8)
+        edges = np.flatnonzero(np.diff(b > 13, prepend=True, append=True))
         s, e = edges[::2], edges[1::2]  # each token's first byte and its end
         # a token opens a line if a break follows the token before it; the
         # piece's end too, for the next piece's first token
-        brks = np.searchsorted(np.flatnonzero(b == 10), np.append(s, len(b)))
-        gap = np.diff(brks, prepend=-opening) > 0
-        opens, opening = gap[:-1], bool(gap[-1])
-        if comment or b"#" in piece:  # per line, whether it is a comment, the last piece's first
-            comments = np.append(comment, np.frombuffer(piece, np.uint8)[s[opens]] == 35)
+        opens = np.zeros(len(s) + 1, bool)
+        opens[s.searchsorted(np.flatnonzero(b == 15))] = True  # the token after each break
+        opens[0] |= opening
+        opens, opening = opens[:-1], bool(opens[-1])
+        if comment or data.find(b"#", p, q) >= 0:
+            # per line, whether it is a comment, the last piece's first
+            comments = np.append(comment, b[s[opens]] == 12)
             comment = bool(comments[-1])
             keep = ~comments[np.cumsum(opens)]
             s, e, opens = s[keep], e[keep], opens[keep]
         first = np.flatnonzero(opens)
+        del edges, opens
         el, w, ok = _scan(b, s, e, n)
         for t in np.flatnonzero(~ok).tolist():
             at = p + int(s[t])
@@ -410,44 +420,62 @@ def _blocks(data: bytes, p: int, n: int, excess: Counter):
             if weight > _INT64_MAX:  # so is its block's size, reported once all lines parse
                 excess[blocks + int(np.searchsorted(first, t, "right")) - 1] += weight - _INT64_MAX
         yield count + first, el, w
-        count, blocks, p = count + len(s), blocks + len(first), p + len(b)
+        count, blocks, p = count + len(s), blocks + len(first), q
+        del b, s, e, first, el, w, ok  # before the next piece's arrays are made
     empty = np.zeros(0, dtype=np.int64)
     yield np.array([count]), empty, empty
 
 
 def _scan(b: np.ndarray, s: np.ndarray, e: np.ndarray, n: int):
-    """The byte pass. ``b`` holds a piece's bytes as classes: digits, ':' and
-    '.' as themselves, whitespace as 32 or less and any other byte as 255;
-    token i is bytes s[i] to e[i] - 1. Per token: the 0-based element id,
-    the weight in fixed-point units, and whether both are certified: the
-    token is ``element[:weight]``, an element of at most 18 digits in 1..n
-    and an unsigned positive weight of at most 12 digits before the point
-    and 6 after it. Uncertified tokens' values are junk."""
-    digit = b - 48  # uint8: the value of a digit byte, 10 or more for others
-    # per token, its first three bytes that are not digits, counting the one after it
-    at = np.append(np.flatnonzero(digit > 9), [len(b)] * 3)
-    i = np.searchsorted(at, s)
-    c, d = at[i], np.minimum(at[i + 1], e)  # a certified token's ':' and '.', or its end
+    """The byte pass. ``b`` holds a piece's bytes as classes: digits as 0 to
+    9, ':' 10, '.' 11, other bytes 12 or 13, whitespace 14 or more; token i
+    is bytes s[i] to e[i] - 1. Per token: the 0-based element id, the weight
+    in fixed-point units, and whether both are certified: the token is
+    ``element[:weight]``, an element of at most 18 digits in 1..n and an
+    unsigned positive weight of at most 12 digits before the point and 6
+    after it. Uncertified tokens' values are junk. Each array goes after its
+    last use: the pass sets the walk's peak memory."""
+    # the bytes in tokens that are not digits, and three past the piece:
+    # per token, the first two are a certified token's ':' and '.', and a
+    # third must lie past its end
+    at = np.flatnonzero(np.append((b > 9) & (b < 14), [True] * 3))
+    i = at.searchsorted(s)
+    ok = at[i + 2] >= e
+    d = at[i + 1]
+    c = at[i]
+    del at, i
+    np.minimum(c, e, out=c)  # a certified token's ':' and '.', or its end
+    np.minimum(d, e, out=d)
     colon, point = c < e, d < e
-    le, lw, lf = c - s, d - c - 1, e - d - 1  # element, whole and fraction lengths
-    ok = (at[i + 2] >= e) & (le >= 1) & (le <= 18) & (lw <= 12) & (lf <= 6)
-    ok &= (~colon | (b.take(c, mode="clip") == 58)) & (~point | (b.take(d, mode="clip") == 46))
+    le, lw, lf = c - s, d - c, e - d  # element, whole and fraction lengths
+    lw -= 1  # less the ':' and the '.'
+    lf -= 1
+    ok &= (le >= 1) & (le <= 18) & (lw <= 12) & (lf <= 6)
+    ok &= (~colon | (b.take(c, mode="clip") == 10)) & (~point | (b.take(d, mode="clip") == 11))
     ok &= ~colon | np.where(point, lf >= 1, lw >= 1)  # digits, and some after a point
+    ke, kw, kf = (int(x.max(where=ok, initial=0)) for x in (le, lw, lf))
+    del le, lw, lf
 
-    def read(start, count, valid):  # per token, digits start..start+count-1, 0 where not valid(k)
+    def read(at, count, valid):  # per token, digits at-count..at-1, 0 where not valid(at)
+        at -= count  # in place: at ends where it began
         v = np.zeros(len(e), dtype=np.int64)
-        for k in range(count):
+        for _ in range(count):
             v *= 10
-            v += np.where(valid(k), digit.take(start + k, mode="clip"), 0)
+            v += np.where(valid(at), b.take(at, mode="clip"), 0)
+            at += 1
         return v
 
-    ke, kw, kf = (int(x.max(where=ok, initial=0)) for x in (le, lw, lf))
-    pe, pw = ke - le, kw - lw  # the zeros that right-align the element and the whole part
-    elem = read(c - ke, ke, lambda k: k >= pe)
-    frac = read(d + 1, kf, lambda k: k < lf) * 10 ** (6 - kf)  # to the longest certified fraction
-    w = np.where(colon, read(d - kw, kw, lambda k: k >= pw) * fp.SCALE + frac, fp.SCALE)
+    # each part right-aligned, to the longest certified part
+    elem = read(c, ke, lambda at: at >= s)
+    w = read(d, kw, lambda at: at > c)
+    del c
+    w *= fp.SCALE
+    d += kf + 1
+    w += read(d, kf, lambda at: at < e) * 10 ** (6 - kf)  # to the longest certified fraction
+    w[~colon] = fp.SCALE
     ok &= (elem >= 1) & (elem <= n) & (w > 0)
-    return elem - 1, w, ok
+    elem -= 1
+    return elem, w, ok
 
 
 def _token(tok: str, n: int) -> tuple[int, int]:

@@ -42,7 +42,8 @@ def information_sum(mass: np.ndarray, row: np.ndarray, ref: np.ndarray) -> np.nd
     """
     nr = ref[row]
     terms = mass / nr
-    terms *= np.log(nr / mass)
+    nr /= mass  # in place, as is its log: one array a mass beside the terms
+    terms *= np.log(nr, out=nr)
     return np.bincount(row, terms, len(ref)).astype(float, copy=False)  # int zeros when no terms
 
 

@@ -487,12 +487,14 @@ def test_chunk_edges_inside_and_between_lines():
     size = allocation._CHUNK_BYTES // 8
     rng = random.Random(5)
     long_line = weighted_lines(rng, 1, width=(2 * size + 5,) * 2)[0]
-    sevens = weighted_lines(rng, size // 7 + 3, width=(7, 7))  # a chunk edge falls inside a line
+    sevens = weighted_lines(rng, 2 * size // 7, width=(7, 7))  # a chunk edge falls inside a line
+    ones = weighted_lines(rng, 2 * size, width=(1, 1))  # and between lines
     # tokens of 1 to 5 bytes over more than two windows: a piece holds more
     # than size of them
     short = [" ".join(f"{rng.randint(1, 50)}{rng.choice(['', ':2'])}" for _ in range(8 * size))]
+    assert min(len("\n".join(body)) for body in ([long_line], sevens, ones)) > allocation._CHUNK_BYTES
     assert len(short[0]) > 2 * allocation._CHUNK_BYTES
-    for body in ([long_line], sevens, [long_line] + sevens, sevens + [long_line], short):
+    for body in ([long_line], sevens, [long_line] + sevens, sevens + [long_line], ones, short):
         text = "n=50 r=1.0\n" + "\n".join(body) + "\n"
         data = text.encode()
         g = parse_allocation_text(data)
@@ -505,12 +507,14 @@ def test_chunk_edges_inside_and_between_lines():
 def test_bad_token_in_a_later_chunk_names_its_line(bad):
     size = allocation._CHUNK_BYTES // 8
     rng = random.Random(6)
-    lines = weighted_lines(rng, size // 3 + 20, width=(3, 3))
+    lines = weighted_lines(rng, size // 2, width=(3, 3))
     toks = lines[-5].split()
     toks[1] = bad  # in the second chunk, mid-line
     lines[-5] = " ".join(toks)
-    long_line = weighted_lines(rng, 1, width=(size + 10,) * 2)[0].split()
-    long_line[size + 3] = bad  # in the long line's second chunk
+    long_line = weighted_lines(rng, 1, width=(2 * size,) * 2)[0].split()
+    long_line[3 * size // 2] = bad  # in the long line's second chunk
+    before = ("\n".join(lines[:-5]), " ".join(long_line[: 3 * size // 2]))
+    assert min(len(text) for text in before) > allocation._CHUNK_BYTES
     for body, where in ((lines, len(lines) - 3), ([" ".join(long_line)], 2)):
         text = "n=50 r=1.0\n" + "\n".join(body) + "\n"
         with pytest.raises(ValueError, match=f"^line {where}: ") as exc:
@@ -526,7 +530,7 @@ def test_every_line_break_over_a_long_text(bad, width):
     # as wide as 1, 3 and _CHUNK_BYTES // 8 such tokens
     rng = random.Random(9)
     body = []
-    for _ in range(150):
+    for _ in range(250):
         for brk in LINE_BREAKS:
             body += [weighted_lines(rng, 1, n=9, width=(1, 3))[0], brk, brk, "\n", "# 1:x", brk]
             body += ["2", brk, "\n", brk, " 3:0.5\t1 ", "\n"]

@@ -547,8 +547,8 @@ def test_entropy_pass_peak_memory_per_token(tmp_path):
     # gea entropy reads block sizes only. The ASCII file goes to the parser
     # as bytes, never decoded, and the walk sums each piece's weights per
     # block as the piece comes, so the walk sets the peak: the file's bytes
-    # (9.3 bytes a token in this file), one piece's temporaries, about 6,
-    # and the per-block sums so far, 16 bytes a block (2.3 a token); 19.1
+    # (9.3 bytes a token in this file), one piece's temporaries, about 5,
+    # and the per-block sums so far, 16 bytes a block (2.3 a token); 16.8
     # in all. After the walk the bytes go, and joining the sums holds 32
     # bytes a block. 22 leaves room for fixed costs, not for a decoded copy
     # beside the bytes (9.3 more) or a weight array kept to the end of the
@@ -566,15 +566,31 @@ def test_entropy_pass_peak_memory_per_token(tmp_path):
 
 def test_entropy_pass_peak_memory_on_one_byte_tokens(tmp_path):
     # the walk's worst case: one line of one-byte tokens, 2 bytes a token,
-    # puts 16,384 tokens in each 32 KiB window. The peak is the file's bytes
-    # plus one piece's temporaries, 2.7 MiB: 4.8 bytes a token at 10**6
-    # tokens. 6 leaves 1.2 bytes a token (1.1 MiB) for fixed costs; a window
-    # twice as wide took 7.6, and one piece of the whole line 138
+    # puts 32,768 tokens in each 64 KiB window. The peak is the file's bytes
+    # plus one piece's temporaries, 2.1 MiB: 4.2 bytes a token at 10**6
+    # tokens. 6 leaves 1.8 bytes a token (1.7 MiB) for fixed costs; a window
+    # twice as wide took 6.3, a walk that kept each temporary to the end of
+    # its piece 7.6 at this window, and one piece of the whole line 138
     tokens = 10**6
     path = tmp_path / "a.txt"
     path.write_bytes(b"n=1 r=1.0\n" + b"1 " * tokens + b"\n")
     peak = entropy_pass_peak(str(path))
     assert peak <= 6 * tokens, peak / tokens
+
+
+def test_entropy_pass_peak_memory_on_one_token_lines(tmp_path):
+    # one block a token: per-block arrays set the peak, 32 bytes a block both
+    # where the walk's sums are joined (the pieces' sums and the join) and in
+    # the entropy (the sizes, and per block a row id, a reference mass and
+    # a term); the walk itself, with the file's 8.4 bytes a token, stays
+    # below. 36 leaves room for fixed costs, not for one more per-block
+    # array: an entropy that made its ratio and log as new arrays took 48.2
+    tokens = 100_000
+    text = "\n".join(["n=1000 r=1.0", *weighted_lines(random.Random(3), tokens, n=1000, width=(1, 1)), ""])
+    path = write(tmp_path, "a.txt", text)
+    del text
+    peak = entropy_pass_peak(path)
+    assert peak <= 36 * tokens, peak / tokens
 
 
 # --- exit codes on arbitrary allocation text ---------------------------------------
