@@ -163,7 +163,7 @@ class _Slots:
         else:  # many: one pass over the owners (dead entries belong to retired slots)
             e = np.flatnonzero(on[self.owner])
         row = np.cumsum(on) - 1  # a slot's row among the distinct slots
-        d = np.zeros((row[-1] + 1, max(len(self.ptr) - 1, 1)), np.int64)
+        d = np.zeros((row[-1] + 1, len(self.ptr) - 1), np.int64)
         d[row[self.owner[e]], self.blk[e]] = self.mass[e]
         return d[row[x]] + d[row[y]]
 

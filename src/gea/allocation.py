@@ -89,7 +89,7 @@ class FeatureAllocation:
             raise ValueError("indptr must rise from 0 to len(elems), by at least 1 per block")
         if len(weights) != len(elems):
             raise ValueError("elems and weights must have the same length")
-        if len(elems) and (elems.min() < 0 or elems.max() >= n):
+        if elems.min(initial=0) < 0 or elems.max(initial=-1) >= n:
             raise ValueError(f"block references an element outside [0, {n})")
         flat = elems[1:] <= elems[:-1]
         flat[indptr[1:-1] - 1] = False  # a block's first element follows another block

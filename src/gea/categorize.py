@@ -145,7 +145,7 @@ def minmax_scale(ds: NumericDataset) -> NumericDataset:
     A column whose span overflows the float range is scaled from its values
     halved, which is exact at that magnitude; other columns are not halved.
     """
-    cols = list(zip(*ds.values)) if ds.values else []
+    cols = list(zip(*ds.values))
     spans = []
     for col in cols:
         lo, hi = min(col), max(col)

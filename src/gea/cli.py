@@ -92,11 +92,11 @@ def parse_csv(path, label_col: str | None = None) -> NumericDataset:
                 if not math.isfinite(v):
                     raise ValueError(f"row {rowno}, column {header[i]!r}: non-finite value")
                 vals.append(v)
-            values.append(tuple(vals))
+            values.append(vals)
         if not values:
             raise ValueError("no data rows")
-        labels = None if label_idx is None else tuple(row[label_idx].strip() for _, row in rows[1:])
-        return NumericDataset(tuple(header[i] for i in cols), tuple(values), labels)
+        labels = None if label_idx is None else [row[label_idx].strip() for _, row in rows[1:]]
+        return NumericDataset([header[i] for i in cols], values, labels)
 
     return _parse_file(path, dataset)
 
@@ -152,7 +152,7 @@ def _execute(args: argparse.Namespace) -> None:
     dend = gea(g)
     _emit(dend, args)
 
-    scored = None
+    accuracy = ""
     if args.cut is not None:
         clusters = cut(dend, args.cut)
         for lab in range(clusters.k):
@@ -160,17 +160,15 @@ def _execute(args: argparse.Namespace) -> None:
             print(f"cluster {lab}: {elems}")
         if labels is not None:
             correct, total = score_accuracy(clusters, labels)
-            scored = (correct, total)
+            accuracy = f" accuracy={correct}/{total}"
             print(f"correct={correct} total={total}")
 
     runtime = time.perf_counter() - t0
-    summary = (
+    print(
         f"n={g.n} blocks={len(g.indptr) - 1} r={fp.format_decimal(g.r_scaled)} "
-        f"runtime={runtime:.2f}s"
+        f"runtime={runtime:.2f}s{accuracy}",
+        file=sys.stderr,
     )
-    if scored:
-        summary += f" accuracy={scored[0]}/{scored[1]}"
-    print(summary, file=sys.stderr)
 
 
 def _emit(dend, args: argparse.Namespace) -> None:

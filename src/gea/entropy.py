@@ -70,8 +70,6 @@ def generalized_entropy_cod(g: FeatureAllocation) -> float:
     against :func:`generalized_entropy`.
     """
     dist = cod(g)
-    if not dist.counts:
-        return 0.0
     nr = g.n * g.r_scaled
     total = 0.0
     for k in range(1, len(dist.counts) + 1):

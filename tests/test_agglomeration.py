@@ -60,6 +60,13 @@ def test_single_element_has_no_merges():
     assert d.n == 1 and d.merges == ()
 
 
+def test_allocation_with_no_blocks_merges_at_zero():
+    # no blocks: every union row is zero-width and every height 0.0
+    g = FeatureAllocation.from_weights(4, [])
+    merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
+    assert [h for _, _, h, _ in merges] == [0.0] * 3 and merges == full_scan_gea(g)
+
+
 def test_empty_universe_rejected():
     with pytest.raises(ValueError):
         gea(FeatureAllocation.from_weights(0, []))
@@ -492,6 +499,26 @@ def test_contender_calls_split_at_the_batch_budget_in_pair_order(monkeypatch):
     assert rows[: -(-pairs // per_call)] == [per_call] * (pairs // per_call) + [pairs % per_call]
     assert len({m.height for m in d.merges[: n // 2]}) > 1
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
+
+
+@pytest.mark.parametrize("budget", [1, 16, 200])
+def test_no_output_depends_on_the_batch_budget(monkeypatch, budget):
+    # at a budget of 1 every near-row and stale-row chunk holds one row, every
+    # contender call one pair, every set-up group one row and every gather one
+    # block; the dendrogram must not change, heights bit for bit
+    params = CategorizationParams(d=10, m=5, gamma=3, r=1)
+    iris = categorize(parse_csv(str(resources.files("gea") / "data" / "iris.csv"), "species"), params)
+    rng = random.Random(29)  # elements 40..49 are in no block
+    loose = scaled_allocation(
+        50, [{e: rng.randint(1, 3 * fp.SCALE) for e in rng.sample(range(40), rng.randint(1, 8))}
+             for _ in range(30)])
+    inputs = [*tie_heavy_inputs(), iris, loose]
+    expected = [gea(g) for g in inputs]
+    monkeypatch.setattr(agglomeration, "BATCH_ENTRIES", budget)
+    for g, want in zip(inputs, expected):
+        d = gea(g)
+        assert d == want and [m.height.hex() for m in d.merges] == [m.height.hex() for m in want.merges]
+        assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
 def assert_slots_consistent(slots, live, merged):

@@ -312,3 +312,8 @@ def test_minmax_scale_maps_to_unit_interval():
     scaled = minmax_scale(ds)
     assert scaled.values == ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))
     assert scaled.dims == ds.dims
+
+
+def test_minmax_scale_of_no_rows_keeps_the_dims():
+    scaled = minmax_scale(NumericDataset(("a", "b"), ()))
+    assert scaled.values == () and scaled.dims == ("a", "b") and scaled.labels is None

@@ -226,6 +226,19 @@ def test_cluster_numeric_mode_scores_iris():
     assert "accuracy=140/150" in out.stderr
 
 
+def test_summary_line_ends_in_accuracy_only_when_a_cut_is_scored(tmp_path, capsys):
+    # the whole stderr line, runtime masked: a labelled cut is scored, a cut
+    # of an allocation (which has no labels) is not
+    path = write(tmp_path, "a.txt", ALLOC_TEXT)
+    for argv, line in [
+        (["cluster", "--input", IRIS, "--mode", "numeric", "--d", "10", "--m", "5", "--gamma", "3",
+          "--label-col", "species", "--cut", "3"], "n=150 blocks=89 r=1.0 runtime=T accuracy=140/150\n"),
+        (["cluster", "--input", path, "--mode", "allocation", "--cut", "2"], "n=7 blocks=4 r=2.0 runtime=T\n"),
+    ]:
+        assert main(argv) == 0
+        assert re.sub(r"runtime=\d+\.\d\ds", "runtime=T", capsys.readouterr().err) == line
+
+
 def test_cluster_numeric_requires_grid_params(tmp_path):
     path = write(tmp_path, "t.csv", "x\n1.0\n2.0\n")
     out = cli("cluster", "--input", path, "--mode", "numeric")
