@@ -403,7 +403,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
             low[s] = heights[s].min(axis=1)
         fresh[a] = low[a]
 
-    if merges and merges[-1].size != n:
+    if size[0] != n:  # a merge keeps its lower slot, so slot 0 holds the last union
         raise RuntimeError("internal: agglomeration did not consume all elements")
     return Dendrogram(n, g.r_scaled, tuple(merges))
 

@@ -243,7 +243,7 @@ def cod(g: FeatureAllocation) -> COD:
     Only defined for allocations whose block sizes are all integers (the
     count of "blocks of size at least k" is not meaningful otherwise).
     """
-    if len(odd := np.flatnonzero(~fp.is_integral(g.sizes))):
+    if len(odd := np.flatnonzero(g.sizes % fp.SCALE)):
         i = int(odd[0])
         raise ValueError(f"block {i} has non-integer size {fp.format_decimal(int(g.sizes[i]))}")
     k = np.sort(g.sizes // fp.SCALE)  # counts[k-1]: blocks of size >= k

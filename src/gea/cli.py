@@ -142,10 +142,11 @@ def _execute(args: argparse.Namespace) -> None:
         labels = ds.labels
         if args.scale:
             ds = minmax_scale(ds)
-        params = CategorizationParams(args.d, args.m, args.gamma, fp.to_fraction(r_s))
-        g = categorize(ds, params)
+        g = rebased(categorize(ds, CategorizationParams(args.d, args.m, args.gamma)), r_s)
     else:
         g = parse_allocation(args.input, args.r)
+    if g.n < 1:
+        raise ValueError(f"{args.input}: need at least one element to cluster")
     if args.cut is not None and not 1 <= args.cut <= g.n:
         raise ValueError(f"--cut must be in 1..{g.n}, got {args.cut}")
 

@@ -74,8 +74,6 @@ def generalized_entropy_cod(g: FeatureAllocation) -> float:
     total = 0.0
     for k in range(1, len(dist.counts) + 1):
         mult = dist.phi(k) - dist.phi(k + 1)
-        if mult == 0:
-            continue
         s = k * fp.SCALE
         total += mult * (s / nr) * math.log(nr / s)
     return total

@@ -64,14 +64,6 @@ def from_decimal(text: str) -> int:
     return -scaled if t[0] == "-" else scaled
 
 
-def to_fraction(scaled: int) -> Fraction:
-    return Fraction(scaled, SCALE)
-
-
-def is_integral(scaled: int) -> bool:
-    return scaled % SCALE == 0
-
-
 def format_decimal(scaled: int) -> str:
     """Canonical decimal string: trailing zeros trimmed, at least one
     fractional digit kept (1000000 -> '1.0', 3800000 -> '3.8')."""

@@ -6,6 +6,7 @@ as the production engine, so the two implementations share no caching code.
 """
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -122,8 +123,8 @@ def scaled_allocation(n: int, blocks, r_scaled: int = fp.SCALE) -> FeatureAlloca
     built exactly through :meth:`FeatureAllocation.from_weights`."""
     return FeatureAllocation.from_weights(
         n,
-        [{e: fp.to_fraction(w) for e, w in b.items()} for b in blocks],
-        fp.to_fraction(r_scaled),
+        [{e: Fraction(w, fp.SCALE) for e, w in b.items()} for b in blocks],
+        Fraction(r_scaled, fp.SCALE),
     )
 
 

@@ -104,7 +104,7 @@ def test_allocation_rejects_values_beyond_int64():
     with pytest.raises(ValueError, match="block 1: size"):
         FeatureAllocation(2, [0, 1, 3], [0, 0, 1], [1, top, 1], fp.SCALE)
     with pytest.raises(ValueError, match="block 0: size"):
-        FeatureAllocation.from_weights(1, [{0: fp.to_fraction(top + 1)}])
+        FeatureAllocation.from_weights(1, [{0: Fraction(top + 1, fp.SCALE)}])
     # five weights of 2**62 units wrap to 2**62 in int64 sums, a valid size
     with pytest.raises(ValueError, match="block 0: size 23058430092136.93952 exceeds"):
         FeatureAllocation(5, [0, 5], range(5), [2**62] * 5)

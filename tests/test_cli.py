@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gea import fixedpoint as fp
-from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json
+from gea.agglomeration import DENDROGRAM_JSON_SCHEMA, gea, to_json, to_newick
 from gea.allocation import (
     FeatureAllocation, format_allocation_text, parse_allocation_text, parse_block_sizes,
 )
@@ -175,6 +175,39 @@ def test_r_override_beyond_int64_is_an_error_without_a_warning(tmp_path, capsys,
         "error: recurrence base must be positive and at most 9223372036854.775807\n"
     )
     assert captured.out == ""
+
+
+def test_numeric_r_beyond_int64_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, "t.csv", "x\n1.0\n2.0\n")
+    argv = ["cluster", "--input", path, "--mode", "numeric", "--d", "2", "--m", "1", "--gamma", "1"]
+    assert main([*argv, "--r", "9223372036854.775808"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: recurrence base must be positive and at most 9223372036854.775807\n"
+    )
+    assert captured.out == ""
+
+
+def test_numeric_r_gives_the_library_dendrogram(tmp_path, capsys):
+    # --r in numeric mode prints what categorize with r=2.5 and gea() give
+    path = write(tmp_path, "t.csv", "x,y\n0.1,2\n0.4,1.5\n0.35,2.2\n0.9,0.1\n")
+    argv = ["cluster", "--input", path, "--mode", "numeric", "--d", "3", "--m", "1",
+            "--gamma", "2", "--r", "2.5", "--format", "both"]
+    assert main(argv) == 0
+    d = gea(categorize(parse_csv(path), CategorizationParams(3, 1, 2.0, r="2.5")))
+    assert capsys.readouterr().out == f"{to_json(d)}\n{to_newick(d)}\n"
+
+
+@pytest.mark.parametrize("cut", [[], ["--cut", "2"]], ids=["no-cut", "cut-2"])
+def test_cluster_without_elements_names_the_file(tmp_path, capsys, cut):
+    # an allocation with n=0 has nothing to cluster; its entropy is 0.0
+    path = write(tmp_path, "empty.txt", "n=0 r=1.0\n")
+    assert main(["cluster", "--input", path, "--mode", "allocation", *cut]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: need at least one element to cluster\n"
+    assert captured.out == ""
+    assert main(["entropy", "--input", path]) == 0
+    assert capsys.readouterr().out == "0.0\n"
 
 
 def test_parse_allocation_propagates_line_errors(tmp_path):

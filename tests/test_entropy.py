@@ -149,6 +149,18 @@ def test_cod_form_handles_sizes_beyond_n():
     assert generalized_entropy(g) < 0
 
 
+def test_cod_form_sums_sizes_that_skip_values():
+    # sizes 1, 1, 4 and 9 at n=5, r=1: sizes 2, 3 and 5 to 8 hold no block;
+    # the sum runs k ascending over the sizes that do, in fixed-point units
+    g = FeatureAllocation.from_weights(5, [{0: 1}, {1: 1}, {2: 4}, {3: 5, 4: 4}])
+    nr, s = 5 * fp.SCALE, fp.SCALE
+    total = 0.0
+    total += 2 * (s / nr) * math.log(nr / s)
+    total += 1 * (4 * s / nr) * math.log(nr / (4 * s))
+    total += 1 * (9 * s / nr) * math.log(nr / (9 * s))
+    assert generalized_entropy_cod(g) == total
+
+
 def test_cod_form_rejects_fractional_sizes():
     g = FeatureAllocation.from_weights(2, [{0: 0.5}])
     with pytest.raises(ValueError):

@@ -54,12 +54,6 @@ def test_from_decimal_rejects_non_decimals(text):
         fp.from_decimal(text)
 
 
-def test_conversions():
-    assert fp.to_fraction(500_000) == Fraction(1, 2)
-    assert fp.is_integral(2_000_000)
-    assert not fp.is_integral(2_000_001)
-
-
 @pytest.mark.parametrize(
     "scaled,text",
     [
