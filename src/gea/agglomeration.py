@@ -415,16 +415,12 @@ def cut(d: Dendrogram, k: int) -> ClusterSet:
     n = d.n
     if not 1 <= k <= n:
         raise ValueError(f"cut size must be in 1..{n}, got {k}")
-    groups: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for step in range(n - k):
+    root = list(range(2 * n - k))  # per node, the root of the cluster holding it after the cut
+    for step in reversed(range(n - k)):  # top-down: a node's root is set before its children's
         m = d.merges[step]
-        groups[n + step] = groups.pop(m.left) + groups.pop(m.right)
-    clusters = sorted(groups.values(), key=min)
-    labels = [0] * n
-    for lab, elems in enumerate(clusters):
-        for e in elems:
-            labels[e] = lab
-    return ClusterSet(k, tuple(labels))
+        root[m.left] = root[m.right] = root[n + step]
+    ids: dict[int, int] = {}  # root to label, in order of the first leaf
+    return ClusterSet(k, tuple(ids.setdefault(root[e], len(ids)) for e in range(n)))
 
 
 def score_accuracy(clusters: ClusterSet, labels: Sequence[str]) -> tuple[int, int]:
@@ -436,10 +432,10 @@ def score_accuracy(clusters: ClusterSet, labels: Sequence[str]) -> tuple[int, in
     total = len(clusters.labels)
     if len(labels) != total or any(lab is None for lab in labels):
         raise ValueError("ground-truth labels must cover every element")
-    correct = 0
-    for cluster_lab in range(clusters.k):
-        correct += max(Counter(labels[e] for e in clusters.members(cluster_lab)).values())
-    return correct, total
+    best: dict[int, int] = {}  # per cluster, its most frequent label's count
+    for (cluster, _), count in Counter(zip(clusters.labels, labels)).items():
+        best[cluster] = max(best.get(cluster, 0), count)
+    return sum(best.values()), total
 
 
 # --- serialization -------------------------------------------------------

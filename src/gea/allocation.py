@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType, SimpleNamespace
@@ -51,6 +50,8 @@ from . import fixedpoint as fp
 # Upper bound on n, on r and on every block size (the last two in fixed-point
 # units): the entropy kernel and the merge engine hold them in int64.
 _INT64_MAX = 2**63 - 1
+_LIMIT = fp.format_decimal(_INT64_MAX)  # as the errors show it
+_BEYOND = f"exceeds the largest supported block size {_LIMIT}"
 _ARRAYS = ("indptr", "elems", "weights")
 
 
@@ -95,7 +96,7 @@ class FeatureAllocation:
         flat[indptr[1:-1] - 1] = False  # a block's first element follows another block
         if np.count_nonzero(flat) or weights.min(initial=1) <= 0:
             raise ValueError("a block's elements must ascend, each once, with positive weights")
-        sizes = _block_sizes(indptr, weights, {})
+        sizes = _block_sizes(indptr, weights)
         for k, a in zip((*_ARRAYS, "sizes"), (indptr, elems, weights, sizes)):
             a.flags.writeable = False
             object.__setattr__(self, k, a)
@@ -123,7 +124,7 @@ class FeatureAllocation:
         or decimal string, rounded to the nearest 1e-6) and a plain r."""
         from array import array  # not at module level: `import gea.cli` loads no more modules
 
-        starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
+        starts, elems, weights = array("q", [0]), array("q"), array("q")
         for i, m in enumerate(block_weights):
             if not m:
                 raise ValueError(f"block {i} must be non-empty")
@@ -132,46 +133,39 @@ class FeatureAllocation:
                     raise ValueError(f"block references an element outside [0, {n})")
                 if (w := fp.from_number(x)) <= 0:
                     raise ValueError(f"block {i}, element {e}: weight must be positive")
-                elems.append(e)
-                weights.append(min(w, _INT64_MAX))
                 if w > _INT64_MAX:
-                    excess[i] += w - _INT64_MAX
+                    raise ValueError(f"block {i}, element {e}: weight {_BEYOND}")
+                elems.append(e)
+                weights.append(w)
             starts.append(len(elems))
-        return _from_tokens(n, starts, [elems, weights], excess, fp.from_number(r))
+        return _from_tokens(n, starts, [elems, weights], fp.from_number(r))
 
 
-def _block_sizes(indptr: np.ndarray, weights: np.ndarray, excess: dict) -> np.ndarray:
+def _block_sizes(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each block's size as int64, checked by :func:`_checked_sizes`. The
     high 32-bit halves of the weights are summed apart, as an int64 sum
     wraps silently: the plain sum less the high halves' sum times 2**32,
     both wrapping, is the low halves' sum. One temporary at a time."""
     hi = np.add.reduceat(weights >> 32, indptr[:-1])
-    return _checked_sizes(hi, np.add.reduceat(weights, indptr[:-1]) - hi * 2**32, excess)
+    return _checked_sizes(hi, np.add.reduceat(weights, indptr[:-1]) - hi * 2**32)
 
 
-def _checked_sizes(hi: np.ndarray, lo: np.ndarray, excess: dict) -> np.ndarray:
+def _checked_sizes(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The sizes hi * 2**32 + lo of blocks whose weights' high and low 32-bit
     halves sum to hi and lo, or ValueError naming the first that is beyond
-    int64 once ``excess[i]`` units missing from the weights are added to
-    block i. lo is below 2**63 in a block of fewer than 2**31 entries."""
-    over = hi + (lo >> 32) >= 2**31
-    over[list(excess)] = True
-    if len(bad := np.flatnonzero(over)):
+    int64, with its exact size. lo is below 2**63 in a block of fewer than
+    2**31 entries."""
+    if len(bad := np.flatnonzero(hi + (lo >> 32) >= 2**31)):
         i = int(bad[0])
-        size = int(hi[i]) * 2**32 + int(lo[i]) + excess.get(i, 0)
-        raise ValueError(
-            f"block {i}: size {fp.format_decimal(size)} exceeds the "
-            f"largest supported block size {fp.format_decimal(_INT64_MAX)}"
-        )
+        size = fp.format_decimal(int(hi[i]) * 2**32 + int(lo[i]))
+        raise ValueError(f"block {i}: size {size} {_BEYOND}")
     return hi * 2**32 + lo
 
 
 def _base(r_scaled) -> int:
     """``r_scaled``, checked as the recurrence base of an allocation."""
     if not isinstance(r_scaled, int) or not 0 < r_scaled <= _INT64_MAX:
-        raise ValueError(
-            f"recurrence base must be positive and at most {fp.format_decimal(_INT64_MAX)}"
-        )
+        raise ValueError(f"recurrence base must be positive and at most {_LIMIT}")
     return r_scaled
 
 
@@ -183,14 +177,14 @@ def rebased(g, r_scaled: int):
     return g
 
 
-def _from_tokens(n, starts, tokens, excess, r_scaled) -> FeatureAllocation:
+def _from_tokens(n, starts, tokens, r_scaled) -> FeatureAllocation:
     """The allocation whose block i is the non-empty run of (element, weight)
     tokens from ``starts[i]`` to ``starts[i + 1]`` of the int64 buffers in
     ``tokens``, [elements, weights]. The fold empties that list, so a buffer
     nothing else holds is freed after its last use. Repeated elements fold
     by summing, exactly, as block sizes are checked first."""
     starts, w, el = (np.frombuffer(a, dtype=np.int64) for a in (starts, tokens.pop(), tokens.pop()))
-    _block_sizes(starts, w, excess)
+    _block_sizes(starts, w)
     # the fold sets the CSR parse's peak memory: block ids take the narrowest
     # dtype, and each array goes as soon as it is used
     nblocks = len(starts) - 1
@@ -296,10 +290,10 @@ def parse_allocation_text(data: bytes) -> FeatureAllocation:
     """
     walk = _walk(data)
     del data  # the walk frees them before the fold, unless the caller keeps them (gea's CLI doesn't)
-    n, r_scaled, excess = next(walk)
+    n, r_scaled = next(walk)
     cols = list(zip(*walk))  # the pieces' block starts, elements and weights
     starts, *tokens = (np.concatenate(cols.pop(0)) for _ in range(3))  # each list goes once joined
-    return _from_tokens(n, starts, tokens, excess, r_scaled)
+    return _from_tokens(n, starts, tokens, r_scaled)
 
 
 def parse_block_sizes(data: bytes) -> SimpleNamespace:
@@ -310,13 +304,13 @@ def parse_block_sizes(data: bytes) -> SimpleNamespace:
     high and low 32-bit halves, the block open at its end carried on: no
     per-token array is kept, no CSR array built, and the sizes are checked
     once every token has parsed. No check of the constructor could fail
-    after these: the walk checks each element against 1..n and each weight
-    for being positive, no block is empty, the size check keeps every size
-    within int64, and the recurrence base is checked here.
+    after these: the walk checks n and the recurrence base, each element
+    against 1..n and each weight for being positive and within int64, no
+    block is empty, and the size check keeps every size within int64.
     """
     walk = _walk(data)
     del data  # as in parse_allocation_text
-    n, r_scaled, excess = next(walk)
+    n, r_scaled = next(walk)
     sums, carry, seen = [], 0, 0  # per piece its blocks' half sums; the open block's; tokens
     for first, el, w in walk:
         # the halves, a 0 on each side: the part before the first block start
@@ -332,17 +326,16 @@ def parse_block_sizes(data: bytes) -> SimpleNamespace:
         del first, el, w, halves  # before the walk makes the next piece
     hi, lo = np.concatenate(sums, axis=1)[:, 1:]  # the first piece's first part is no block
     del sums
-    sizes = _checked_sizes(hi, lo, excess)
-    return SimpleNamespace(n=n, r_scaled=_base(r_scaled), sizes=sizes)
+    return SimpleNamespace(n=n, r_scaled=r_scaled, sizes=_checked_sizes(hi, lo))
 
 
 def _walk(data: bytes):
-    """The token walk of both parsers, a generator. It yields n, the header's
-    r_scaled and a Counter that it fills with the units each block's weights
-    hold beyond int64, then per piece, a window of _CHUNK_BYTES bytes run on to
-    whitespace, three int64 arrays: the piece's blocks' first tokens, numbered
-    from the first block, its 0-based elements and its weights; a last piece, of
-    no tokens, gives the token count. Comment lines are dropped. ASCII bytes are
+    """The token walk of both parsers, a generator. It yields n and the
+    header's r_scaled, both checked to lie within int64, then per piece, a
+    window of _CHUNK_BYTES bytes run on to whitespace, three int64 arrays: the
+    piece's blocks' first tokens, numbered from the first block, its 0-based
+    elements and its weights, each weight within int64; a last piece, of no
+    tokens, gives the token count. Comment lines are dropped. ASCII bytes are
     walked as they are; other bytes are decoded from UTF-8, their non-ASCII
     whitespace mapped to ASCII, and encoded. A bad UTF-8 byte's error and the
     header's come with the first item, a token's with its piece."""
@@ -372,11 +365,10 @@ def _walk(data: bytes):
         r_scaled = fp.from_decimal(m.group(2))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: bad recurrence base: {exc}") from None
-    if r_scaled <= 0:
-        raise ValueError(f"line {lineno}: recurrence base must be positive")
-    excess = Counter()
-    yield n, r_scaled, excess
-    yield from _blocks(data, end, n, excess)
+    if not 0 < r_scaled <= _INT64_MAX:
+        raise ValueError(f"line {lineno}: recurrence base must be positive and at most {_LIMIT}")
+    yield n, r_scaled
+    yield from _blocks(data, end, n)
 
 
 def _lineno(data: bytes, at: int) -> int:
@@ -384,9 +376,9 @@ def _lineno(data: bytes, at: int) -> int:
     return 1 + sum(data.count(c, 0, at) for c in _BREAKS)
 
 
-def _blocks(data: bytes, p: int, n: int, excess: Counter):
+def _blocks(data: bytes, p: int, n: int):
     """The pieces of :func:`_walk` from byte ``p`` on."""
-    count = blocks = 0  # tokens and blocks so far
+    count = 0  # tokens so far
     opening, comment = True, False  # a break since the last token; the last line a comment
     while p < len(data):
         # a byte window, extended to whitespace: it cuts no token
@@ -413,14 +405,11 @@ def _blocks(data: bytes, p: int, n: int, excess: Counter):
         for t in np.flatnonzero(~ok).tolist():
             at = p + int(s[t])
             try:
-                el[t], weight = _token(data[at : p + int(e[t])].decode(), n)
+                el[t], w[t] = _token(data[at : p + int(e[t])].decode(), n)
             except ValueError as exc:
                 raise ValueError(f"line {_lineno(data, at)}: {exc}") from None
-            w[t] = min(weight, _INT64_MAX)
-            if weight > _INT64_MAX:  # so is its block's size, reported once all lines parse
-                excess[blocks + int(np.searchsorted(first, t, "right")) - 1] += weight - _INT64_MAX
         yield count + first, el, w
-        count, blocks, p = count + len(s), blocks + len(first), q
+        count, p = count + len(s), q
         del b, s, e, first, el, w, ok  # before the next piece's arrays are made
     empty = np.zeros(0, dtype=np.int64)
     yield np.array([count]), empty, empty
@@ -496,6 +485,8 @@ def _token(tok: str, n: int) -> tuple[int, int]:
             raise ValueError(f"malformed token {fp.cut(tok)!r}: {exc}") from None
         if weight <= 0:
             raise ValueError(f"non-positive weight in {fp.cut(tok)!r}")
+        if weight > _INT64_MAX:
+            raise ValueError(f"weight in {fp.cut(tok)!r} {_BEYOND}")
     return elem - 1, weight
 
 

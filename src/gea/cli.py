@@ -156,9 +156,11 @@ def _execute(args: argparse.Namespace) -> None:
     accuracy = ""
     if args.cut is not None:
         clusters = cut(dend, args.cut)
-        for lab in range(clusters.k):
-            elems = " ".join(str(e + 1) for e in clusters.members(lab))
-            print(f"cluster {lab}: {elems}")
+        groups = [[] for _ in range(clusters.k)]
+        for e, lab in enumerate(clusters.labels):
+            groups[lab].append(str(e + 1))
+        for lab, elems in enumerate(groups):
+            print(f"cluster {lab}: {' '.join(elems)}")
         if labels is not None:
             correct, total = score_accuracy(clusters, labels)
             accuracy = f" accuracy={correct}/{total}"

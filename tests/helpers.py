@@ -12,7 +12,7 @@ import numpy as np
 
 from gea import fixedpoint as fp
 from gea.allocation import _HEADER_RE, _INT64_MAX, FeatureAllocation, _from_tokens
-from gea.agglomeration import TIE_TOLERANCE, Dendrogram
+from gea.agglomeration import TIE_TOLERANCE, ClusterSet, Dendrogram
 from gea.categorize import CategorizationParams, NumericDataset
 from gea.entropy import information_sum, subset_entropy
 
@@ -118,6 +118,31 @@ def engine_members(d: Dendrogram) -> list[tuple[tuple[int, ...], tuple[int, ...]
     return seq
 
 
+def reference_cut(d: Dendrogram, k: int) -> ClusterSet:
+    """The dict-of-lists cut that the top-down pass of ``cut`` replaced,
+    kept as its oracle: each undone merge's member lists are joined, and the
+    clusters are labeled in order of their smallest element."""
+    n = d.n
+    groups = {i: [i] for i in range(n)}
+    for step in range(n - k):
+        m = d.merges[step]
+        groups[n + step] = groups.pop(m.left) + groups.pop(m.right)
+    labels = [0] * n
+    for lab, elems in enumerate(sorted(groups.values(), key=min)):
+        for e in elems:
+            labels[e] = lab
+    return ClusterSet(k, tuple(labels))
+
+
+def reference_score_accuracy(clusters: ClusterSet, labels) -> tuple[int, int]:
+    """The per-cluster majority count that the one ``Counter`` pass of
+    ``score_accuracy`` replaced: each cluster's members found by a scan."""
+    correct = sum(
+        max(Counter(labels[e] for e in clusters.members(lab)).values()) for lab in range(clusters.k)
+    )
+    return correct, len(labels)
+
+
 def scaled_allocation(n: int, blocks, r_scaled: int = fp.SCALE) -> FeatureAllocation:
     """An allocation from maps of element id to weight in fixed-point units,
     built exactly through :meth:`FeatureAllocation.from_weights`."""
@@ -169,7 +194,7 @@ def reference_parse_allocation_text(text: str) -> FeatureAllocation:
     from array import array
 
     n = r_scaled = None
-    starts, elems, weights, excess = array("q", [0]), array("q"), array("q"), Counter()
+    starts, elems, weights = array("q", [0]), array("q"), array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -185,8 +210,11 @@ def reference_parse_allocation_text(text: str) -> FeatureAllocation:
                 r_scaled = fp.from_decimal(m.group(2))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad recurrence base: {exc}") from None
-            if r_scaled <= 0:
-                raise ValueError(f"line {lineno}: recurrence base must be positive")
+            if not 0 < r_scaled <= _INT64_MAX:
+                raise ValueError(
+                    f"line {lineno}: recurrence base must be positive and at most "
+                    f"{fp.format_decimal(_INT64_MAX)}"
+                )
             continue
         for tok in line.split():
             elem_s, colon, weight_s = tok.partition(":")
@@ -202,16 +230,17 @@ def reference_parse_allocation_text(text: str) -> FeatureAllocation:
                     raise ValueError(f"line {lineno}: malformed token {tok!r}: {exc}") from None
                 if weight <= 0:
                     raise ValueError(f"line {lineno}: non-positive weight in {tok!r}")
+                if weight > _INT64_MAX:
+                    raise ValueError(
+                        f"line {lineno}: weight in {tok!r} exceeds the largest supported "
+                        f"block size {fp.format_decimal(_INT64_MAX)}"
+                    )
             elems.append(elem - 1)
-            try:
-                weights.append(weight)
-            except OverflowError:  # so is its block's size, reported once all lines parse
-                weights.append(_INT64_MAX)
-                excess[len(starts) - 1] += weight - _INT64_MAX
+            weights.append(weight)
         starts.append(len(elems))
     if n is None:
         raise ValueError("missing header line 'n=<int> r=<decimal>'")
-    return _from_tokens(n, starts, [elems, weights], excess, r_scaled)
+    return _from_tokens(n, starts, [elems, weights], r_scaled)
 
 
 def reference_categorize(ds: NumericDataset, params: CategorizationParams) -> FeatureAllocation:

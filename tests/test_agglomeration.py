@@ -39,6 +39,8 @@ from helpers import (
     random_allocation,
     random_integer_allocation,
     ragged,
+    reference_cut,
+    reference_score_accuracy,
     scaled_allocation,
 )
 
@@ -770,6 +772,30 @@ def test_negative_heights_flow_through_cut():
     assert cut(d, 2).labels == (0, 0, 0, 1)
 
 
+def random_dendrogram(rng, n: int) -> Dendrogram:
+    """Merges of two live nodes drawn at random, with random heights."""
+    live, merges = list(range(n)), []
+    size = [1] * n
+    for step in range(n - 1):
+        a, b = sorted(live.pop(rng.randrange(len(live))) for _ in range(2))
+        size.append(size[a] + size[b])
+        merges.append(Merge(a, b, rng.uniform(-1, 1), size[-1]))
+        live.append(n + step)
+    return Dendrogram(n, fp.SCALE, tuple(merges))
+
+
+def test_cut_and_score_match_the_reference_at_every_k():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        d = random_dendrogram(rng, n)
+        labels = [rng.choice("abc") for _ in range(n)]
+        for k in range(1, n + 1):
+            cs = cut(d, k)
+            assert cs == reference_cut(d, k), (d, k)
+            assert score_accuracy(cs, labels) == reference_score_accuracy(cs, labels), (d, k)
+
+
 # --- score_accuracy ---------------------------------------------------------------
 
 
@@ -793,6 +819,11 @@ def test_score_tie_is_lexicographic():
 def test_score_counts_each_cluster_majority_with_ties():
     cs = ClusterSet(3, (0, 0, 1, 1, 1, 2, 2))
     assert score_accuracy(cs, ["a", "b", "a", "b", "b", "c", "d"]) == (4, 7)
+
+
+def test_score_counts_an_empty_cluster_as_0():
+    cs = ClusterSet(3, (0, 0, 2))
+    assert score_accuracy(cs, ["a", "b", "a"]) == (2, 3)
 
 
 def test_score_requires_full_labels():

@@ -97,13 +97,14 @@ def test_allocation_validates_element_range_and_r():
 
 def test_allocation_rejects_values_beyond_int64():
     # the largest int64 is accepted as a block size, n and r; one unit more
-    # is rejected, and a block size over the limit, whether from one weight
-    # or summed over several, names the block
+    # is rejected, a block size summed over the limit names the block, and
+    # a weight over it its block and element
     top = 2**63 - 1
     FeatureAllocation(2, [0, 1], [0], [top], fp.SCALE)
     with pytest.raises(ValueError, match="block 1: size"):
         FeatureAllocation(2, [0, 1, 3], [0, 0, 1], [1, top, 1], fp.SCALE)
-    with pytest.raises(ValueError, match="block 0: size"):
+    with pytest.raises(ValueError, match="^block 0, element 0: weight exceeds the largest supported "
+                       r"block size 9223372036854\.775807$"):
         FeatureAllocation.from_weights(1, [{0: Fraction(top + 1, fp.SCALE)}])
     # five weights of 2**62 units wrap to 2**62 in int64 sums, a valid size
     with pytest.raises(ValueError, match="block 0: size 23058430092136.93952 exceeds"):
@@ -231,6 +232,34 @@ def test_parse_mixed_tokens_fold_by_summing():
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_allocation_text(text.encode())
+
+
+LIMIT = "9223372036854.775807"  # the largest int64, in fixed-point units
+
+
+@pytest.mark.parametrize("parse", [parse_allocation_text, parse_block_sizes])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("n=2 r=9223372036854.775808\n1 2\n3\n",
+         f"line 1: recurrence base must be positive and at most {LIMIT}"),
+        ("n=2 r=0\n1 2\n3\n", f"line 1: recurrence base must be positive and at most {LIMIT}"),
+        ("n=2 r=1.0\n1:99999999999999999999999\n1 x\n",
+         "line 2: weight in '1:99999999999999999999999' exceeds the largest supported "
+         f"block size {LIMIT}"),
+    ],
+    ids=["r-beyond-int64", "r-zero", "weight-beyond-int64"],
+)
+def test_values_beyond_int64_are_rejected_at_their_line(parse, text, error):
+    # before any later line's error, by both ends, as the reference does
+    for chunk in (allocation._CHUNK_BYTES, 8):
+        with mock.patch.object(allocation, "_CHUNK_BYTES", chunk):
+            with pytest.raises(ValueError) as exc:
+                parse(text.encode())
+        assert str(exc.value) == error
+    with pytest.raises(ValueError) as exc:
+        reference_parse_allocation_text(text)
+    assert str(exc.value) == error
 
 
 def test_format_is_canonical_and_round_trips():
@@ -408,7 +437,7 @@ def test_parser_matches_the_per_token_reference():
     # windows of 24 and 8 bytes blocks span pieces, so the block sizes are
     # summed across piece edges.
     rng = random.Random(2024)
-    kinds = {"parsed": 0, "parsed non-ASCII": 0, "raised": 0, "block size": 0}
+    kinds = {"parsed": 0, "parsed non-ASCII": 0, "raised": 0, "weight": 0, "summed size": 0}
     for i in range(2_400):
         text = random_parser_text(rng)
         want = outcome(reference_parse_allocation_text, text)
@@ -420,11 +449,13 @@ def test_parser_matches_the_per_token_reference():
                 assert sizes_outcome(parse_block_sizes, data) == sizes, (chunk, text)
         if isinstance(want, str):
             kinds["raised"] += 1
-            kinds["block size"] += "exceeds the largest supported block size" in want
+            kinds["weight"] += ": weight in " in want
+            kinds["summed size"] += ": size " in want
         else:
             kinds["parsed"] += 1
             kinds["parsed non-ASCII"] += not text.isascii()
-    assert min(kinds.values()) >= 100, kinds
+    floors = {"weight": 100, "summed size": 30}
+    assert all(kinds[k] >= floors.get(k, 100) for k in kinds), kinds
 
 
 @pytest.mark.parametrize("parse, seen", [(parse_allocation_text, outcome),

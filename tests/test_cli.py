@@ -404,38 +404,43 @@ def test_run_returns_0_quietly(tmp_path, capsys):
     assert "error" not in captured.err
 
 
-# one block whose size overflows int64 fixed-point units, with that exact
-# size: summed over two entries (the merge engine once wrapped it to height
-# 0.0), in one weight, over five weights of 2**62 units (an int64 sum wraps
-# to 2**62, a valid size), over one element repeated five times (its folded
-# weight wraps too), and in one weight beyond int64 itself
+# values past the int64 limit of fixed-point units. A block size summed over
+# two entries (the merge engine once wrapped it to height 0.0), over five
+# weights of 2**62 units (an int64 sum wraps to 2**62, a valid size) or over
+# one element repeated five times (its folded weight wraps too) is named with
+# its exact size. One weight past the limit, below and beyond int64 itself,
+# and a header r past it are named at their line, before a later line's error.
 QUARTER = "4611686018427.387904"  # 2**62 units
 FIVE_QUARTERS = "23058430092136.93952"  # 5 * 2**62 units
+LARGEST = "exceeds the largest supported block size 9223372036854.775807"
 OVERFLOW_INPUTS = [
-    ("n=2 r=1.0\n1:9223372036854 2:9223372036854\n", "18446744073708.0"),
-    ("n=2 r=1.0\n1:9999999999999 2\n", "10000000000000.0"),
-    ("n=5 r=1.0\n" + " ".join(f"{k}:{QUARTER}" for k in range(1, 6)) + "\n", FIVE_QUARTERS),
-    ("n=5 r=1.0\n" + " ".join([f"3:{QUARTER}"] * 5) + "\n", FIVE_QUARTERS),
-    ("n=2 r=1.0\n1:99999999999999999999999\n", "99999999999999999999999.0"),
+    ("n=2 r=1.0\n1:9223372036854 2:9223372036854\n", f"block 0: size 18446744073708.0 {LARGEST}"),
+    ("n=2 r=1.0\n1:9999999999999 2\n", f"line 2: weight in '1:9999999999999' {LARGEST}"),
+    ("n=5 r=1.0\n" + " ".join(f"{k}:{QUARTER}" for k in range(1, 6)) + "\n",
+     f"block 0: size {FIVE_QUARTERS} {LARGEST}"),
+    ("n=5 r=1.0\n" + " ".join([f"3:{QUARTER}"] * 5) + "\n", f"block 0: size {FIVE_QUARTERS} {LARGEST}"),
+    ("n=2 r=1.0\n1:99999999999999999999999\n", f"line 2: weight in '1:99999999999999999999999' {LARGEST}"),
+    ("n=2 r=1.0\n1:99999999999999999999999\n1 x\n",
+     f"line 2: weight in '1:99999999999999999999999' {LARGEST}"),
+    ("n=2 r=9223372036854.775808\n1 2\n3\n",
+     "line 1: recurrence base must be positive and at most 9223372036854.775807"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,size",
+    "text,error",
     OVERFLOW_INPUTS,
-    ids=["summed", "one-weight", "summed-wraps", "folded-wraps", "beyond-int64"],
+    ids=["summed", "one-weight", "summed-wraps", "folded-wraps", "beyond-int64",
+         "weight-before-a-bad-line", "header-r"],
 )
 @pytest.mark.parametrize(
     "command", [("cluster", "--mode", "allocation"), ("entropy",)], ids=["cluster", "entropy"]
 )
-def test_block_size_overflow_exits_1(tmp_path, capsys, text, size, command):
+def test_block_size_overflow_exits_1(tmp_path, capsys, text, error, command):
     path = write(tmp_path, "big.txt", text)
     assert main([*command, "--input", path]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"error: {path}: block 0: size {size} exceeds the largest supported block size "
-        "9223372036854.775807\n"
-    )
+    assert captured.err == f"error: {path}: {error}\n"
     assert captured.out == ""
 
 
