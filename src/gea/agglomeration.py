@@ -9,8 +9,10 @@ in reverse merge order rather than by thresholding heights.
 The engine keeps every live cluster in a slot (:class:`_Slots`): the
 positions of its entries among the allocation's CSR entries, which are
 block-major and so are also the block-to-slot incidence; its total mass S
-and sum F of f(m) = m*ln(m); and a row and column of an n-by-n matrix of
-union scores, with each row's minimum cached. A score (:func:`union_scores`)
+and sum F of f(m) = m*ln(m); and a row of its union scores with every later
+slot, the row's minimum cached. The rows are one packed upper triangle of
+n(n-1)/2 scores (the condensed form of Muellner 2011, arXiv:1109.2378), and
+column c is a gather over rows 0..c-1. A score (:func:`union_scores`)
 of slots a and o, (S_u*ln(Nr) - F_a - F_o - G_ao)/Nr, is in closed form for
 every slot at once; only the correction G_ao, over the blocks a and o share,
 reads entries: those of the blocks in a's support, at most BATCH_ENTRIES per
@@ -296,28 +298,32 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     same order, and the kernel sums them left to right, so the height is
     bit-equal to :func:`subset_entropy` and to the winner's contender
     value. Working memory is at most about
-    9*n**2 + 80*nnz + 112*B + 200*n + 128*BATCH_ENTRIES bytes: scores and
-    which of them are kernel values; per entry its block, owner, mass, f
-    and position, and as much again while they are built, counted into row
-    groups or compacted; per
+    4.5*n*(n-1) + 80*nnz + 112*B + 244*n + 128*BATCH_ENTRIES bytes: the
+    packed scores and which of them are kernel values, one of each per pair
+    of slots; per entry its block, owner, mass, f and position, and as much
+    again while they are built, counted into row groups or compacted; per
     block its pointer and, once one union row passes BATCH_ENTRIES masses,
     that dense row and the kernel's temporaries on it; per slot its size,
-    reference mass, two row minima, S, F, support size and position list;
-    and the batches of gathered entries, scanned scores and union rows, and
-    the set-up's group grids of at most BATCH_ENTRIES scores. No
-    array has n*B entries.
+    reference mass, two row minima, S, F, support size, position list,
+    packed row offset and row start (a Python int); and the batches of
+    gathered entries, scanned scores and union rows, and the set-up's group
+    grids of at most BATCH_ENTRIES scores. No array has n*B entries.
     """
     n = g.n
     if n < 1:
         raise ValueError("need at least one element to cluster")
 
-    # score of the union of slots a < b at [a, b]; inf below the diagonal and in the row
-    # and column of every retired slot. First: an n too large fails before any O(n) work
+    # the score of the union of slots r < c, packed by rows: row r is heights[rs[r] : rs[r + 1]],
+    # columns r+1..n-1, and (r, c) is at d[r] + c; inf in the row and column of every
+    # retired slot. First: an n too large fails before any O(n) work
     try:
-        heights = np.full((n, n), np.inf)
-        exact = np.zeros((n, n), dtype=bool)  # heights[a, b] is information_sum's value
+        heights = np.full(n * (n - 1) // 2, np.inf)
+        exact = np.zeros(len(heights), dtype=bool)  # the score is information_sum's value
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
-        raise ValueError(f"n={n} is too large: the score matrices need {9 * n * n} bytes") from None
+        raise ValueError(f"n={n} is too large: the score matrices need {9 * n * (n - 1) // 2} bytes") from None
+    rs = np.cumsum(np.arange(n, -1, -1)) - n
+    d = rs[:n] - np.arange(1, n + 1)
+    rs = rs.tolist()  # slice bounds: Python ints slice faster than numpy's
     # slot i: entries, size (0 once retired), node id, heights row/column
     slots = _Slots(g)
     size = np.ones(n, dtype=np.int64)
@@ -335,6 +341,13 @@ def gea(g: FeatureAllocation) -> Dendrogram:
             out.append(information_sum(u.ravel()[at], at // u.shape[1], ref[size[x] + size[y]]))
         return np.concatenate(out)
 
+    def rows(v, s):
+        # the packed rows s of v (none empty) one after another, and where each starts among them
+        lens = n - 1 - s
+        at = lens.cumsum()
+        at -= lens
+        return np.concatenate([v[rs[r] : rs[r + 1]] for r in s.tolist()]), at
+
     # every pair's score, in groups of rows whose gathered entries (a row's, those
     # after its own in each of its blocks) plus n scores a row sum to at most
     # BATCH_ENTRIES, the budget of every batch, or one row; every union has two elements
@@ -342,11 +355,14 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     after -= np.arange(1, len(after) + 1)
     cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1] + n)
     del after
+    low = np.full(n, np.inf)  # each row's minimum
     for lo, hi in _batches(cum):
-        o = np.arange(lo + 1, n)  # the group's pairs lie right of its first row's diagonal
-        err = union_scores(slots, slice(lo, hi), o, ref[2], heights[lo:hi, lo + 1 :], True)
+        h = np.empty((hi - lo, n - lo - 1))  # the group's pairs lie right of its first row's diagonal
+        err = union_scores(slots, slice(lo, hi), np.arange(lo + 1, n), ref[2], h, True)
         beta = max(beta, err.max())
-    low = heights.min(axis=1)  # each row's minimum
+        low[lo:hi] = h.min(axis=1)
+        for i in range(lo, hi):  # the part right of each row's diagonal is its packed row
+            heights[rs[i] : rs[i + 1]] = h[i - lo, i - lo :]
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()
     merges = []
@@ -359,26 +375,32 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         # a lone contender's entropy is at most least + beta and every other pair's above
         # least + beta + TIE_TOLERANCE, so it wins whatever the kernel says: it is the
         # first least row and the only column of that row in the band
-        if np.count_nonzero(low <= band) + np.count_nonzero(heights[a] <= band) > 2:
+        if np.count_nonzero(low <= band) + np.count_nonzero(heights[rs[a] : rs[a + 1]] <= band) > 2:
             near = (fresh <= band).nonzero()[0]
             for s in (near[i : i + k] for i in range(0, len(near), k)):
-                h = heights[s]
-                i, c = np.nonzero((h <= band) & ~exact[s])
-                if len(i):  # a kernel value stays until a merge rescores its pair
-                    h[i, c] = heights[s[i], c] = canonical(s[i], c)
-                    exact[s[i], c] = True
-                low[s] = h.min(axis=1)
-                h[exact[s]] = np.inf
-                fresh[s] = h.min(axis=1)
-            h = None  # else the lone merges that may follow keep the last batch alive
+                (h, at), x = rows(heights, s), rows(exact, s)[0]
+                j = np.flatnonzero((h <= band) & ~x)
+                if len(j):  # a kernel value stays until a merge rescores its pair
+                    i = at.searchsorted(j, "right") - 1
+                    r, c = s[i], j - at[i] + s[i] + 1  # cell j of the batch is (r, c)
+                    h[j] = heights[d[r] + c] = canonical(r, c)
+                    exact[d[r] + c] = x[j] = True
+                low[s] = np.minimum.reduceat(h, at)
+                h[x] = np.inf
+                fresh[s] = np.minimum.reduceat(h, at)
+            h = x = None  # else the lone merges that may follow keep the last batch alive
             # every pair within TIE_TOLERANCE of the least now holds its kernel value;
             # slot indices are least elements, so the least tied union is the first
             # tied row and column
             band = low.min() + TIE_TOLERANCE
             a = int((low <= band).argmax())
-        b = int((heights[a] <= band).argmax())
-        # rescan row a and the rows whose minimum was in column a or b; others compare column a
-        stale = ((low == heights[:, a]) | (low == heights[:, b])) & (low < np.inf)
+        b = a + 1 + int((heights[rs[a] : rs[a + 1]] <= band).argmax())
+        # rescan row a and the rows whose minimum was in column a or b; others compare
+        # column a. A column's cells are in the rows above the diagonal
+        ca, cb = d[:a] + a, d[:b] + b
+        stale = low[:b] == heights[cb]
+        stale[:a] |= low[:a] == heights[ca]
+        stale &= low[:b] < np.inf
         stale[a] = True
         stale = stale.nonzero()[0]
         mass = slots.merge(a, b)
@@ -389,18 +411,20 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         slots.compact()
         merges.append(Merge(*sorted((node[a], node[b])), float(height[0]), int(size[a])))
         node[a] = n + step
-        heights[b, :] = heights[:, b] = low[b] = fresh[b] = np.inf
-        exact[a, :] = exact[:, a] = False
+        heights[rs[b] : rs[b + 1]] = heights[cb] = low[b] = fresh[b] = np.inf
+        exact[rs[a] : rs[a + 1]] = exact[ca] = False
         o = np.flatnonzero(size)  # rescore the kept slot's pairs; none after the last merge
         o = o[o != a]
         h = np.empty(len(o))
         beta = max(beta, union_scores(slots, slice(a, a + 1), o, ref[size[o] + size[a]], h).max(initial=0))
-        heights[np.minimum(o, a), np.maximum(o, a)] = h
-        np.minimum(low[:a], heights[:a, a], out=low[:a])
-        np.minimum(fresh[:a], heights[:a, a], out=fresh[:a])
+        heights[d[np.minimum(o, a)] + np.maximum(o, a)] = h
+        h = heights[ca]
+        np.minimum(low[:a], h, out=low[:a])
+        np.minimum(fresh[:a], h, out=fresh[:a])
         for i in range(0, len(stale), k):
             s = stale[i : i + k]
-            low[s] = heights[s].min(axis=1)
+            h, at = rows(heights, s)
+            low[s] = np.minimum.reduceat(h, at)
         fresh[a] = low[a]
 
     if size[0] != n:  # a merge keeps its lower slot, so slot 0 holds the last union
@@ -486,10 +510,10 @@ def to_newick(d: Dendrogram) -> str:
     reject negative lengths); the raw heights ride along in one leading
     bracket comment, in merge order. Leaves get length 0.
     """
-    parts = {i: f"{i + 1}:0.0" for i in range(d.n)}
-    for idx, m in enumerate(d.merges):
-        length = max(m.height, 0.0)
-        parts[d.n + idx] = f"({parts.pop(m.left)},{parts.pop(m.right)}):{length!r}"
-    (root,) = parts.values()
+    out, todo = [], [2 * d.n - 2]  # a stack of node ids and text, written as popped: one walk, one join
+    while todo:
+        m = None if isinstance(x := todo.pop(), str) or x < d.n else d.merges[x - d.n]
+        out.append(x if isinstance(x, str) else "(" if m else f"{x + 1}:0.0")
+        todo += (f"):{max(m.height, 0.0)!r}", m.right, ",", m.left) if m else ()  # "(left,right):length"
     raw = ",".join(repr(m.height) for m in d.merges) or "none"
-    return f"[raw heights: {raw}]\n{root};"
+    return f"[raw heights: {raw}]\n{''.join(out)};"

@@ -143,6 +143,19 @@ def reference_score_accuracy(clusters: ClusterSet, labels) -> tuple[int, int]:
     return correct, len(labels)
 
 
+def reference_to_newick(d: Dendrogram) -> str:
+    """The writer that the one-walk ``to_newick`` replaced, kept as its
+    oracle: each merge copies its children's strings into its own, so it
+    takes time quadratic in the depth of the tree."""
+    parts = {i: f"{i + 1}:0.0" for i in range(d.n)}
+    for idx, m in enumerate(d.merges):
+        length = max(m.height, 0.0)
+        parts[d.n + idx] = f"({parts.pop(m.left)},{parts.pop(m.right)}):{length!r}"
+    (root,) = parts.values()
+    raw = ",".join(repr(m.height) for m in d.merges) or "none"
+    return f"[raw heights: {raw}]\n{root};"
+
+
 def scaled_allocation(n: int, blocks, r_scaled: int = fp.SCALE) -> FeatureAllocation:
     """An allocation from maps of element id to weight in fixed-point units,
     built exactly through :meth:`FeatureAllocation.from_weights`."""

@@ -41,6 +41,7 @@ from helpers import (
     ragged,
     reference_cut,
     reference_score_accuracy,
+    reference_to_newick,
     scaled_allocation,
 )
 
@@ -193,6 +194,51 @@ def test_engine_matches_full_scan_reference_at_larger_n():
     for g in larger_inputs():
         merges = [(m.left, m.right, m.height, m.size) for m in gea(g).merges]
         assert merges == full_scan_gea(g)
+
+
+def merge_tuples(d):
+    return [(m.left, m.right, m.height, m.size) for m in d.merges]
+
+
+@pytest.mark.parametrize("n, blocks, first", [
+    (1, [], ()),
+    (1, [{0: 1}], ()),
+    (2, [], (0, 1)),
+    (2, [{0: 1, 1: 2}], (0, 1)),
+    (3, [], (0, 1)),
+    (3, [{0: 1, 1: 1}, {2: 1}], (0, 1)),
+    # the first merge is of the last two slots: row n-2 then holds only the
+    # retired column n-1, a live row of one inf cell
+    (3, [{1: 3, 2: 3}], (1, 2)),
+    (6, [{4: 5, 5: 5}, {0: 1, 1: 1}, {2: 1, 3: 1}], (4, 5)),
+    # slots 3 and 4 merge into 0 and 1, so live row 2 has no live column
+    # to its right
+    (5, [{0: 3, 3: 3}, {1: 3, 4: 3}, {2: 1}], (0, 3)),
+])
+def test_packed_rows_at_their_edges_match_the_full_scan(n, blocks, first):
+    g = FeatureAllocation.from_weights(n, blocks)
+    merges = merge_tuples(gea(g))
+    assert merges == full_scan_gea(g)
+    assert (merges[0][:2] if merges else ()) == first
+
+
+def test_last_slot_with_an_empty_row_merges_last():
+    # slot n-1 has no column to its right, so its packed row is empty from
+    # the start; here it stays live until the last merge
+    g = FeatureAllocation.from_weights(5, [{0: 2, 1: 2, 2: 2, 3: 2}])
+    d = gea(g)
+    assert d.merges[-1].left == 4 and merge_tuples(d) == full_scan_gea(g)
+
+
+@pytest.mark.parametrize("n", [40, 130])
+def test_contender_batches_gather_rows_of_every_length(n):
+    # all elements alike: every pair ties, so the first contender scan reads
+    # rows 0..n-2, n-1 down to 1 cells long, in batches of BATCH_ENTRIES // n
+    # rows (one at n=40, two at n=130), each batch holding rows of unequal
+    # lengths; every later merge reads the rows left in the band again
+    assert BATCH_ENTRIES // 130 < 129 < BATCH_ENTRIES // 40
+    g = FeatureAllocation.from_weights(n, [{e: 1 for e in range(n)} for _ in range(4)])
+    assert merge_tuples(gea(g)) == full_scan_gea(g)
 
 
 def dense_slot_rows(slots):
@@ -620,7 +666,29 @@ def test_engine_memory_follows_nnz():
     finally:
         tracemalloc.stop()
     assert d.merges[-1].size == n
-    assert peak < 9 * n**2 + 80 * len(elems) + 112 * blocks + 200 * n + 128 * BATCH_ENTRIES
+    assert peak < 9 * n * (n - 1) // 2 + 80 * len(elems) + 112 * blocks + 244 * n + 128 * BATCH_ENTRIES
+
+
+def test_packed_scores_set_the_peak_within_the_stated_memory():
+    # 800 elements in 30 blocks: the packed scores' 9*n*(n-1)/2 bytes are the
+    # largest term of the working memory gea()'s docstring states, and two
+    # full n-by-n matrices (9*n**2 bytes) would pass the whole bound
+    rng = np.random.default_rng(11)
+    n, blocks = 800, 30
+    members = [np.sort(rng.choice(n, rng.integers(n // 40, n // 20), replace=False)) for _ in range(blocks)]
+    elems = np.concatenate(members)
+    g = FeatureAllocation(n, np.cumsum([0] + [len(m) for m in members]), elems,
+                          rng.integers(1, 8, len(elems)) * fp.SCALE, fp.SCALE)
+    bound = 9 * n * (n - 1) // 2 + 80 * len(elems) + 112 * blocks + 244 * n + 128 * BATCH_ENTRIES
+    assert 9 * n**2 > bound
+    tracemalloc.start()
+    try:
+        d = gea(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.merges[-1].size == n
+    assert peak < bound
 
 
 WEIGHT = st.integers(1, 50) | st.just(None)  # None: near the block-size limit
@@ -902,3 +970,18 @@ def test_newick_clamps_negative_heights_but_reports_them():
 def test_newick_single_leaf():
     d = gea(FeatureAllocation.from_weights(1, [{0: 1}]))
     assert to_newick(d) == "[raw heights: none]\n1:0.0;"
+
+
+def test_newick_is_the_reference_writer_byte_for_byte():
+    rng = random.Random(17)
+    for _ in range(200):
+        d = random_dendrogram(rng, rng.randint(1, 60))
+        assert to_newick(d) == reference_to_newick(d)
+    # node ids that are numpy integers, as a caller's own arrays may give them
+    wide = Dendrogram(d.n, d.r_scaled, tuple(Merge(np.int64(m.left), np.int64(m.right), m.height, m.size) for m in d.merges))
+    assert to_newick(wide) == reference_to_newick(d)
+    # a caterpillar 40,000 leaves deep: each merge takes the tree so far and one leaf
+    n = 40_000
+    merges = [Merge(0, 1, -0.5, 2)] + [Merge(t, n + t - 2, (t % 5 - 2) / 3, t + 1) for t in range(2, n)]
+    d = Dendrogram(n, fp.SCALE, tuple(merges))
+    assert to_newick(d) == reference_to_newick(d)

@@ -349,29 +349,29 @@ def test_internal_failures_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_n_too_large_for_the_score_matrices_exits_1(tmp_path, monkeypatch, capsys):
-    # heights' 8e14 bytes pass the 47-bit address space a process maps by default:
-    # the request fails at once and nothing is allocated
+    # the packed heights' 4e14 bytes pass the 47-bit address space a process maps by
+    # default: the request fails at once and nothing is allocated
     argv = ["cluster", "--mode", "allocation", "--input"]
     path = write(tmp_path, "big.txt", "n=10000000 r=1.0\n1 2\n")
     assert main([*argv, path]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: n=10000000 is too large: the score matrices need 900000000000000 bytes\n"
+    assert captured.err == "error: n=10000000 is too large: the score matrices need 449999955000000 bytes\n"
     assert captured.out == ""
     real = np.full
 
     def full(shape, *args, **kwargs):
-        if shape == (3, 3):
+        if shape == 3:  # the packed upper triangle of n=3: 3 scores
             raise MemoryError
         return real(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "full", full)
     assert main([*argv, write(tmp_path, "a.txt", "n=3 r=1.0\n1 2\n")]) == 1
-    assert capsys.readouterr().err == "error: n=3 is too large: the score matrices need 81 bytes\n"
+    assert capsys.readouterr().err == "error: n=3 is too large: the score matrices need 27 bytes\n"
 
 
 @pytest.mark.parametrize("n, need", [
-    ("100000000000", "90000000000000000000000"),
-    ("123456789012345678", "137174208779149528751714697887517156"),
+    ("100000000000", "44999999999550000000000"),
+    ("123456789012345678", "68587104389574763820301798388203027"),
 ])
 def test_n_past_numpy_largest_array_exits_1(tmp_path, capsys, n, need):
     # numpy refuses an array this large with a ValueError, not a MemoryError
