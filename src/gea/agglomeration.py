@@ -16,8 +16,8 @@ column c is a gather over rows 0..c-1. A score (:func:`union_scores`)
 of slots a and o, (S_u*ln(Nr) - F_a - F_o - G_ao)/Nr, is in closed form for
 every slot at once; only the correction G_ao, over the blocks a and o share,
 reads entries: those of the blocks in a's support, at most BATCH_ENTRIES per
-batch. The first scores, of every pair of elements, are taken for groups of
-consecutive rows at once, one bincount of corrections per group; each merge
+batch. The first scores, of every pair of elements, fill the packed cells of
+groups of consecutive rows, one bincount of corrections per group; each merge
 then rescores its kept slot alone, the one-row case of the same function.
 A score is within its bound beta of the kernel's entropy. Each
 merge's contenders are the pairs scored within 2*beta + TIE_TOLERANCE of
@@ -184,41 +184,37 @@ def _batches(cum: np.ndarray):
     return out
 
 
-def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np.ndarray,
-                 above: bool = False) -> np.ndarray:
-    """Scores of the unions of each slot of the slice ``a`` (the rows) with
-    each slot ``o[k]``, written to ``out``; returns each score's bound on
-    its distance from :func:`information_sum`'s value, 0 where nothing is
-    scored. ``out`` holds one row per slot of ``a``, or may be flat when
-    ``a`` is one slot; one row of ``out`` is written through a flat view,
-    so it must be contiguous. ``nr``, each union's float Nr, is one value
-    for every score (before any merge each union has two elements) or one
-    per score, rows by ``o``, flat when ``a`` is one slot.
+def union_scores(slots: _Slots, a: slice, r: int | np.ndarray, o: np.ndarray, nr: float | np.ndarray,
+                 out: np.ndarray, above: bool = False) -> np.ndarray:
+    """Scores of the unions of slots ``r`` and ``o[k]``, one per cell k,
+    written to the flat array ``out``; returns each score's bound on its
+    distance from :func:`information_sum`'s value. ``r`` is one slot of
+    the slice ``a``, or one per cell; ``nr``, each union's float Nr, is one
+    value (before any merge each union has two elements) or one per cell.
 
     The kernel's sum of (s/Nr)*ln(Nr/s) is (S_u*ln(Nr) - F_u)/Nr, with
-    S_u = S_a + S_o and F_u = F_a + F_o + G_ao, where G_ao sums
-    f(m_a + m_o) - f(m_a) - f(m_o) over the blocks a and o share: a pair
+    S_u = S_r + S_o and F_u = F_r + F_o + G_ro, where G_ro sums
+    f(m_r + m_o) - f(m_r) - f(m_o) over the blocks r and o share: a pair
     that shares no block scores in closed form. G is read, one log per
-    entry, from the entries of the blocks in each row's support,
-    BATCH_ENTRIES entries per batch (:func:`_batches`, one batch when all
-    fit), and summed per row and owning slot with one bincount per batch,
-    in block order within each pair; a row's own and dead entries land on
-    slots that are not scored.
+    entry, from the entries of the blocks in the support of each slot of
+    ``a``, BATCH_ENTRIES entries per batch (:func:`_batches`, one batch when
+    all fit), and summed per row and owning slot with one bincount per
+    batch, in block order within each pair; a row's own and dead entries
+    land on slots that are not scored.
     With ``above``, before any merge, only the entries after a row's own in
     each block are read: slots are elements then, which ascend in a block,
-    so these are the entries of the slots above the row, and only those
-    pairs are scored (inf and bound 0 on and below the diagonal). Masses
-    are integers, so Nr >= 2 and all these terms are >= 0. A rounded term
-    is off by a few u times its operands, u the unit roundoff, and a sum of
-    k terms by k*u times their sum (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3-4). G's operands add up to at most
-    F_u + F_a + F_o <= 2*F_u; with K = |supp a| + |supp o| + 16 (16 per
-    term's conversions, log and products) the score is off by at most
-    K*u*(S_u*ln(Nr) + 3*F_u)/Nr, and the kernel by
-    1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs u*s/Nr and
-    Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 3*F_u)/Nr covers both. Each
-    pair's terms and their order are the same however many rows a call
-    scores, so are its score and bound, bit for bit.
+    so these are the entries of the slots above the row, and every cell
+    needs ``o > r``. Masses are integers, so Nr >= 2 and all these terms
+    are >= 0. A rounded term is off by a few u times its operands, u the
+    unit roundoff, and a sum of k terms by k*u times their sum (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4). G's
+    operands add up to at most F_u + F_r + F_o <= 2*F_u; with
+    K = |supp r| + |supp o| + 16 (16 per term's conversions, log and
+    products) the score is off by at most K*u*(S_u*ln(Nr) + 3*F_u)/Nr, and
+    the kernel by 1.5*K*u*(S_u*ln(Nr) + F_u)/Nr, as its ln(Nr/s) costs
+    u*s/Nr and Nr >= 2. The bound 4*K*u*(S_u*ln(Nr) + 3*F_u)/Nr covers
+    both. Each pair's terms and their order are the same however many rows
+    a call scores, so are its score and bound, bit for bit.
     """
     n, rows = len(slots.total), a.stop - a.start
     p = slots.pos[a.start] if rows == 1 else np.concatenate(slots.pos[a])
@@ -247,21 +243,16 @@ def union_scores(slots: _Slots, a: slice, o: np.ndarray, nr: np.ndarray, out: np
         if rows > 1:
             e += span[lo:hi].repeat(k)
         g += np.bincount(e, t, len(g))
-    if rows == 1:  # one row's arithmetic stays 1-D, on numpy's fast path
-        a, fu, out = a.start, g[o], out.reshape(-1)
-    else:
-        a, fu = np.arange(a.start, a.stop)[:, None], g.reshape(rows, n)[:, o]
-    fu += slots.flog[a] + slots.flog[o]  # F_u, in place like the bound below
-    sl = (slots.total[a] + slots.total[o]) * np.log(nr)
+    fu = g[(r - a.start) * n + o]
+    del g  # before the closed form's temporaries: a set-up group's g may be the largest array
+    fu += slots.flog[r] + slots.flog[o]  # F_u, in place like the bound below
+    sl = (slots.total[r] + slots.total[o]) * np.log(nr)
     err = fu * 3
     err += sl
-    err *= (slots.count[o] + (slots.count[a] + 16)) * (4 * _UNIT_ROUNDOFF)
+    err *= (slots.count[o] + (slots.count[r] + 16)) * (4 * _UNIT_ROUNDOFF)
     err /= nr
     sl -= fu
     np.divide(sl, nr, out=out)
-    if above:
-        below = o <= a
-        out[below], err[below] = np.inf, 0
     return err
 
 
@@ -271,8 +262,8 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     Every candidate union is scored by its projection entropy with the
     subset's own element count and the allocation's recurrence base. The
     set-up scores every pair in groups of consecutive rows, one
-    :func:`union_scores` call per group whose gathered entries plus n
-    scores a row are at most BATCH_ENTRIES (or one row); a merge
+    :func:`union_scores` call on each group's packed cells, whose gathered
+    entries plus n a row are at most BATCH_ENTRIES (or one row); a merge
     rescores the kept slot's pairs in one call. Score matrices that cannot
     be allocated raise ValueError. The merge with minimal entropy wins;
     near-exact ties (within ``TIE_TOLERANCE``) go to the union whose sorted
@@ -306,8 +297,9 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     that dense row and the kernel's temporaries on it; per slot its size,
     reference mass, two row minima, S, F, support size, position list,
     packed row offset and row start (a Python int); and the batches of
-    gathered entries, scanned scores and union rows, and the set-up's group
-    grids of at most BATCH_ENTRIES scores. No array has n*B entries.
+    gathered entries, scanned scores and union rows, and a set-up group's
+    corrections (n a row) and its cells' row and column indices, at most
+    BATCH_ENTRIES of each. No array has n*B entries.
     """
     n = g.n
     if n < 1:
@@ -341,12 +333,15 @@ def gea(g: FeatureAllocation) -> Dendrogram:
             out.append(information_sum(u.ravel()[at], at // u.shape[1], ref[size[x] + size[y]]))
         return np.concatenate(out)
 
-    def rows(v, s):
-        # the packed rows s of v (none empty) one after another, and where each starts among them
-        lens = n - 1 - s
-        at = lens.cumsum()
-        at -= lens
-        return np.concatenate([v[rs[r] : rs[r + 1]] for r in s.tolist()]), at
+    def packed(rows, *v):
+        # the packed rows (none empty), k at a time: each batch's rows, where each starts
+        # among them, and their slices of each array of v one after another
+        for i in range(0, len(rows), k):
+            s = rows[i : i + k]
+            lens = n - 1 - s
+            at = lens.cumsum()
+            at -= lens
+            yield s, at, *(np.concatenate([w[rs[r] : rs[r + 1]] for r in s.tolist()]) for w in v)
 
     # every pair's score, in groups of rows whose gathered entries (a row's, those
     # after its own in each of its blocks) plus n scores a row sum to at most
@@ -356,13 +351,12 @@ def gea(g: FeatureAllocation) -> Dendrogram:
     cum = np.cumsum(np.bincount(slots.owner, after, n)[:-1] + n)
     del after
     low = np.full(n, np.inf)  # each row's minimum
-    for lo, hi in _batches(cum):
-        h = np.empty((hi - lo, n - lo - 1))  # the group's pairs lie right of its first row's diagonal
-        err = union_scores(slots, slice(lo, hi), np.arange(lo + 1, n), ref[2], h, True)
+    for lo, hi in _batches(cum):  # a group's cells are its rows' packed slices, one after another
+        r = np.arange(lo, hi).repeat(np.diff(rs[lo : hi + 1]))
+        h = heights[rs[lo] : rs[hi]]
+        err = union_scores(slots, slice(lo, hi), r, np.arange(rs[lo], rs[hi]) - d[r], ref[2], h, True)
         beta = max(beta, err.max())
-        low[lo:hi] = h.min(axis=1)
-        for i in range(lo, hi):  # the part right of each row's diagonal is its packed row
-            heights[rs[i] : rs[i + 1]] = h[i - lo, i - lo :]
+        low[lo:hi] = np.minimum.reduceat(h, np.subtract(rs[lo:hi], rs[lo]))
     # at most each row's least score not yet replaced by a kernel value; exact once scanned
     fresh = low.copy()
     merges = []
@@ -377,8 +371,7 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         # first least row and the only column of that row in the band
         if np.count_nonzero(low <= band) + np.count_nonzero(heights[rs[a] : rs[a + 1]] <= band) > 2:
             near = (fresh <= band).nonzero()[0]
-            for s in (near[i : i + k] for i in range(0, len(near), k)):
-                (h, at), x = rows(heights, s), rows(exact, s)[0]
+            for s, at, h, x in packed(near, heights, exact):
                 j = np.flatnonzero((h <= band) & ~x)
                 if len(j):  # a kernel value stays until a merge rescores its pair
                     i = at.searchsorted(j, "right") - 1
@@ -416,14 +409,12 @@ def gea(g: FeatureAllocation) -> Dendrogram:
         o = np.flatnonzero(size)  # rescore the kept slot's pairs; none after the last merge
         o = o[o != a]
         h = np.empty(len(o))
-        beta = max(beta, union_scores(slots, slice(a, a + 1), o, ref[size[o] + size[a]], h).max(initial=0))
+        beta = max(beta, union_scores(slots, slice(a, a + 1), a, o, ref[size[o] + size[a]], h).max(initial=0))
         heights[d[np.minimum(o, a)] + np.maximum(o, a)] = h
         h = heights[ca]
         np.minimum(low[:a], h, out=low[:a])
         np.minimum(fresh[:a], h, out=fresh[:a])
-        for i in range(0, len(stale), k):
-            s = stale[i : i + k]
-            h, at = rows(heights, s)
+        for s, at, h in packed(stale, heights):
             low[s] = np.minimum.reduceat(h, at)
         fresh[a] = low[a]
 

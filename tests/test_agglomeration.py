@@ -265,19 +265,18 @@ def recorded_scores(monkeypatch, noise_seed=None):
         batches.append([(int(cum[hi - 1] - (cum[lo - 1] if lo else 0)), hi - lo) for lo, hi in bounds])
         return bounds
 
-    def recording(slots, a, o, nr, out, above=False):
-        err = real_scores(slots, a, o, nr, out, above)
-        shape = (a.stop - a.start, len(o))
-        h, nr, err = out.reshape(shape), np.broadcast_to(nr, shape), err.reshape(shape)
-        scored = o > np.arange(a.start, a.stop)[:, None] if above else np.ones(shape, dtype=bool)
+    def recording(slots, a, r, o, nr, out, above=False):
+        err = real_scores(slots, a, r, o, nr, out, above)
+        r, nr = np.broadcast_to(r, o.shape), np.broadcast_to(nr, o.shape)
         rows = dense_slot_rows(slots)
-        for i, s in enumerate(range(a.start, a.stop)):
-            assert (np.abs(h[i] - information_sum(*ragged(rows[o] + rows[s]), nr[i])) <= err[i])[scored[i]].all()
+        for s in np.unique(r).tolist():
+            i = r == s
+            assert (np.abs(out[i] - information_sum(*ragged(rows[o[i]] + rows[s]), nr[i])) <= err[i]).all()
         blocks = len(slots.ptr) - 1
         entries = int(((rows[a, :blocks] > 0) @ np.diff(slots.ptr)).sum())
-        calls.append((shape[0], int(scored.sum()), entries, batches.pop()))
+        calls.append((a.stop - a.start, len(o), entries, batches.pop()))
         if noise is not None:
-            out += (noise.uniform(-0.5, 0.5, shape) * err).reshape(out.shape)
+            out += noise.uniform(-0.5, 0.5, len(o)) * err
         return err
 
     monkeypatch.setattr(agglomeration, "union_scores", recording)
@@ -365,31 +364,35 @@ def first_fill_inputs():
     return iris, grid, sparse, wide
 
 
-@pytest.mark.parametrize("which", range(4), ids=["iris", "grid", "sparse", "wide"])
-def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which):
+@pytest.mark.parametrize("which, budget", [(w, b) for b in (BATCH_ENTRIES, 2000) for w in range(4)],
+                         ids=[f"{w}{b}" for b in ("", "-budget-2000") for w in ("iris", "grid", "sparse", "wide")])
+def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which, budget):
     # gea() scores its first pairs in groups of consecutive rows; the heights
     # it fills and its bound beta must be bit-equal to one union_scores call
     # per row, and each group's gathered entries plus its scores must come to
-    # at most BATCH_ENTRIES, or be one row
+    # at most BATCH_ENTRIES, or be one row. At a budget of 2000 the groups
+    # start and end mid-triangle, and the contender and stale scans read
+    # several batches of rows
     g = first_fill_inputs()[which]
     n, real = g.n, agglomeration.union_scores
     groups, heights, beta = [], np.full((n, n), np.inf), 0.0
 
-    def recording(slots, a, o, nr, out, above=False):
-        err = real(slots, a, o, nr, out, above)
+    def recording(slots, a, r, o, nr, out, above=False):
+        err = real(slots, a, r, o, nr, out, above)
         if above:
             groups.append((a.start, a.stop))
-            heights[a, o] = out
+            heights[r, o] = out
             nonlocal beta
             beta = max(beta, err.max())
         return err
 
+    monkeypatch.setattr(agglomeration, "BATCH_ENTRIES", budget)
     monkeypatch.setattr(agglomeration, "union_scores", recording)
     gea(g)
     slots, one, one_beta = agglomeration._Slots(g), np.full((n, n), np.inf), 0.0
     for a in range(n - 1):
         o = np.arange(a + 1, n)
-        err = real(slots, slice(a, a + 1), o, np.full(len(o), float(2 * g.r_scaled)), one[a, a + 1 :], True)
+        err = real(slots, slice(a, a + 1), a, o, np.full(len(o), float(2 * g.r_scaled)), one[a, a + 1 :], True)
         one_beta = max(one_beta, err.max())
     assert np.array_equal(heights, one) and beta == one_beta
     # entries each row gathers: those after its own in each of its blocks
@@ -397,10 +400,10 @@ def test_first_fill_row_groups_are_bit_equal_to_one_row_calls(monkeypatch, which
     after = np.bincount(g.elems, np.repeat(g.indptr[1:], lens) - 1 - np.arange(len(g.elems)), n)
     assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]] and groups[-1][1] == n - 1
     for lo, hi in groups:
-        assert hi - lo == 1 or after[lo:hi].sum() + (hi - lo) * n <= BATCH_ENTRIES
+        assert hi - lo == 1 or after[lo:hi].sum() + (hi - lo) * n <= agglomeration.BATCH_ENTRIES
     assert max(hi - lo for lo, hi in groups) > 1
     if which == 3:
-        assert groups[0] == (0, 1) and after[0] > BATCH_ENTRIES
+        assert groups[0] == (0, 1) and after[0] > agglomeration.BATCH_ENTRIES
 
 
 def split_kernel_calls(monkeypatch):
@@ -549,7 +552,7 @@ def test_contender_calls_split_at_the_batch_budget_in_pair_order(monkeypatch):
     assert [(m.left, m.right, m.height, m.size) for m in d.merges] == full_scan_gea(g)
 
 
-@pytest.mark.parametrize("budget", [1, 16, 200])
+@pytest.mark.parametrize("budget", [1, 16, 200, 2000])
 def test_no_output_depends_on_the_batch_budget(monkeypatch, budget):
     # at a budget of 1 every near-row and stale-row chunk holds one row, every
     # contender call one pair, every set-up group one row and every gather one
